@@ -7,10 +7,8 @@
 // BM_EventQueueThroughputCapturing is the realistic case — callbacks carry
 // ring-collective-sized captures, which is where per-event allocation cost
 // shows up. BM_PlannerSearch times a full FindBestPlan (closed-form ranking
-// plus discrete-event re-pricing of the top k), BM_ScalingSweep times a
-// 4-point scaling sweep at 1 and 4 worker threads, and BM_PdesTwoDSummation
-// sweeps the partitioned window engine's worker-thread count on one
-// multi-pod collective (sim_ms/sim_events bit-identical at every count).
+// plus discrete-event re-pricing of the top k), and BM_ScalingSweep times a
+// 4-point scaling sweep at 1 and 4 worker threads.
 //
 // --smoke (or TPU_BENCH_SMOKE=1) restricts the run to the cheap variant of
 // each benchmark so CI can record a BENCH_SIMULATOR.json artifact in seconds.
@@ -27,7 +25,6 @@
 #include "core/sweep.h"
 #include "network/network.h"
 #include "plan/planner.h"
-#include "sim/partitioned_simulator.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 
@@ -155,47 +152,6 @@ void BM_ScalingSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalingSweep)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
-void BM_PdesTwoDSummation(benchmark::State& state) {
-  // Time-only 2-D summation on 4 pods under the conservative window engine;
-  // the argument is the PDES worker-thread count (1 = the engine stands
-  // down and the serial path runs). The compare gate holds sim_ms and
-  // sim_events on every row to the same values — that IS the bit-identity
-  // contract — while wall-clock scaling depends on available cores: on
-  // single-vCPU CI runners the rows stay flat and only the simulated
-  // counters are meaningful.
-  const int threads = static_cast<int>(state.range(0));
-  topo::TopologyConfig shape;
-  shape.pod_size_x = 16;
-  shape.pod_size_y = 16;
-  shape.num_pods = 4;
-  const topo::MeshTopology topo(shape);
-  for (auto _ : state) {
-    sim::Simulator simulator;
-    net::Network network(&topo, net::NetworkConfig{}, &simulator);
-    sim::PdesConfig pdes;
-    pdes.enable = true;
-    pdes.threads = threads;
-    sim::PdesStats stats;
-    pdes.stats = &stats;
-    sim::ScopedPdesConfig scope(pdes);
-    coll::GradientSummationConfig config;
-    config.elems = 25'600'000;
-    const auto result = coll::TwoDGradientSummation(network, config);
-    benchmark::DoNotOptimize(result.reduce_seconds);
-    state.counters["sim_events"] = static_cast<double>(
-        stats.engaged ? stats.events_processed : simulator.events_processed());
-    state.counters["sim_ms"] = ToMillis(result.total());
-    state.counters["pdes_windows"] = static_cast<double>(stats.windows);
-  }
-  state.SetLabel("threads=" + std::to_string(threads));
-}
-BENCHMARK(BM_PdesTwoDSummation)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -216,7 +172,7 @@ int main(int argc, char** argv) {
   std::string filter =
       "--benchmark_filter=BM_EventQueueThroughput(Capturing)?/16384|"
       "BM_TwoDSummationSimulation/1|BM_FunctionalAllReduce/4096|"
-      "BM_PlannerSearch/64|BM_ScalingSweep|BM_PdesTwoDSummation/[14]";
+      "BM_PlannerSearch/64|BM_ScalingSweep";
   std::string min_time = "--benchmark_min_time=0.05";
   if (bench::Smoke()) {
     args.push_back(filter.data());

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/math_util.h"
-#include "sim/partitioned_simulator.h"
 #include "sim/simulator.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -196,31 +195,6 @@ GradientSummationResult TwoDGradientSummation(
   // just before each phase schedules its events. Pure observation.
   sim::EventObserver* observer = sim::CurrentEventObserver();
 
-  // PDES engagement (sim/partitioned_simulator.h): when the ambient config
-  // asks for >1 worker and the workload qualifies — a multi-pod topology,
-  // time-only (no gradient buffers, so no shared payload state), and no
-  // observation session installed (trace/metrics record per-event state on
-  // the issuing thread; observed runs and sweeps force the serial path the
-  // same way threaded sweeps do) — the run executes on the windowed engine:
-  // pod-confined Y phases drain on parallel partition lanes while the
-  // pod-spanning X phases and the phase chain stay on the global lane.
-  // Timestamps, event counts and traffic totals are bit-identical to the
-  // serial path at any thread count. threads <= 1 never constructs the
-  // engine, so the legacy path pays exactly one branch here.
-  const sim::PdesConfig& pdes = sim::CurrentPdesConfig();
-  const bool pdes_engaged =
-      pdes.enable && pdes.threads > 1 && topo.num_pods() > 1 &&
-      chip_buffers.empty() && recorder == nullptr && observer == nullptr &&
-      trace::CurrentMetrics() == nullptr;
-  std::unique_ptr<sim::PartitionedSimulator> engine;
-  std::unique_ptr<sim::ScopedEngine> engine_scope;
-  if (pdes_engaged) {
-    engine = std::make_unique<sim::PartitionedSimulator>(
-        &simulator, topo.num_pods(), network.CrossPodLookahead(), pdes.threads,
-        pdes.window);
-    engine_scope = std::make_unique<sim::ScopedEngine>(engine.get());
-  }
-
   // Declared in reverse chain order; each stage captures its successor by
   // reference (all outlive the Run() below). Expectations are estimated at
   // each phase's start so they see the then-current link occupancy.
@@ -269,13 +243,7 @@ GradientSummationResult TwoDGradientSummation(
   }
   if (observer != nullptr) observer->OnPhase("Y-reduce-scatter");
   StartReduceScatter(network, y_rings, config.collective, start_x_rs);
-  if (engine != nullptr) {
-    engine->Run();
-    if (pdes.stats != nullptr) *pdes.stats = engine->Stats();
-  } else {
-    simulator.Run();
-    if (pdes.stats != nullptr) pdes.stats->engaged = false;
-  }
+  simulator.Run();
   TPU_CHECK_GE(end_y_ag, 0.0);
 
   result.reduce_seconds = end_x_rs - start;
@@ -341,10 +309,6 @@ GradientSummationResult TwoDGradientSummation(
   return result;
 }
 
-// Deliberately ignores the ambient PdesConfig and always runs serially:
-// slices interleave Y and X phases in time, so no window ever has all
-// pending work pod-confined and the engine would degenerate to the serial
-// schedule while paying the protocol overhead.
 SimTime PipelinedTwoDGradientSummation(
     net::Network& network, const GradientSummationConfig& config, int chunks,
     std::vector<float*> chip_buffers, PipelinedSummationReport* report) {

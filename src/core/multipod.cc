@@ -252,10 +252,6 @@ StepBreakdown MultipodSystem::SimulateStep(const models::ModelSpec& spec,
   TPU_CHECK_EQ(topology_.size_x() % chips_per_group, 0);
   sim::Simulator simulator;
   net::Network network(&topology_, options_.network, &simulator);
-  // Publish the system's PDES request for the duration of the step; the
-  // summation itself decides whether the step qualifies (multi-pod,
-  // time-only, unobserved) and silently stays serial otherwise.
-  sim::ScopedPdesConfig pdes_scope(options_.pdes);
   coll::GradientSummationConfig summation;
   summation.elems = std::max<std::int64_t>(1, spec.parameters / chips_per_group);
   summation.model_parallel_stride = chips_per_group;

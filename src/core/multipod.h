@@ -27,7 +27,6 @@
 #include "optim/optimizer.h"
 #include "plan/cache.h"
 #include "recover/recovery.h"
-#include "sim/partitioned_simulator.h"
 #include "topology/topology.h"
 #include "trace/run_report.h"
 #include "trace/step_profiler.h"
@@ -68,15 +67,6 @@ struct SystemOptions {
   // matrix rows (one 128-row MXU tile).
   double max_utilization = 0.55;
   double rows_half_saturation = 128;
-  // Parallel discrete-event engine request for the per-step gradient
-  // summation (sim/partitioned_simulator.h). Defaults to disabled/1-thread,
-  // which leaves every simulated path byte-identical to the serial engine.
-  // With enable and threads > 1, qualifying steps (multi-pod, time-only,
-  // unobserved) drain pod-confined collective phases on parallel partition
-  // lanes — same timestamps and event counts at any thread count. Observed
-  // steps (trace/metrics/critical-path sessions) and the planner's candidate
-  // evaluations fall back to the serial path automatically.
-  sim::PdesConfig pdes;
 };
 
 // Accelerator generations: TPU-v3 is the paper's machine; TPU-v4 carries the

@@ -50,21 +50,6 @@ Network::Network(const topo::MeshTopology* topology,
   degradation_.assign(topology_->links().size(), 1.0);
   failed_.assign(topology_->links().size(), 0);
   route_cache_.resize(topology_->num_chips());
-  // One traffic shard per pod (= PDES partition); sized here so concurrent
-  // partition drains never resize shared storage.
-  traffic_shards_.resize(topology_->config().num_pods);
-}
-
-TrafficStats Network::traffic() const {
-  TrafficStats total = traffic_;
-  for (const TrafficStats& shard : traffic_shards_) {
-    total.mesh_x_bytes += shard.mesh_x_bytes;
-    total.cross_pod_x_bytes += shard.cross_pod_x_bytes;
-    total.mesh_y_bytes += shard.mesh_y_bytes;
-    total.wrap_y_bytes += shard.wrap_y_bytes;
-    total.messages += shard.messages;
-  }
-  return total;
 }
 
 const Network::CachedRoute& Network::RouteFor(topo::ChipId from,
@@ -91,19 +76,14 @@ const Network::CachedRoute& Network::RouteFor(topo::ChipId from,
 void Network::Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
                    sim::Simulator::Callback on_done) {
   TPU_CHECK_GE(bytes, 0);
-  // During a PDES partition drain, clock reads, completion scheduling and
-  // traffic accounting all route to the active lane; serially both resolve
-  // to the members.
-  sim::Simulator& des = sim::ActiveSimulatorOr(simulator_);
-  TrafficStats& traffic = ActiveTraffic();
-  ++traffic.messages;
+  ++traffic_.messages;
   trace::TraceRecorder* recorder = trace::CurrentTrace();
   trace::MetricsRegistry* metrics = trace::CurrentMetrics();
   sim::EventObserver* observer = sim::CurrentEventObserver();
   if (recorder != nullptr) EnsureTraceState(recorder);
   if (from == to) {
     const std::uint64_t done_seq =
-        des.Schedule(config_.message_overhead, std::move(on_done));
+        simulator_->Schedule(config_.message_overhead, std::move(on_done));
     if (observer != nullptr) {
       sim::MessageRecord record;
       record.from = from;
@@ -131,7 +111,7 @@ void Network::Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
     record.overhead = config_.message_overhead;
     record.hops.reserve(route.hops.size());
   }
-  SimTime head = des.now() + config_.message_overhead;
+  SimTime head = simulator_->now() + config_.message_overhead;
   for (std::size_t i = 0; i < route.hops.size(); ++i) {
     const CachedHop& hop = route.hops[i];
     const SimTime healthy_serialize =
@@ -147,8 +127,8 @@ void Network::Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
     const bool last_hop = i + 1 == route.hops.size();
     if (last_hop) {
       // The completion callback fires when the message tail has arrived.
-      done_seq = des.ScheduleAt(start + serialize + hop.latency,
-                                std::move(on_done));
+      done_seq = simulator_->ScheduleAt(start + serialize + hop.latency,
+                                        std::move(on_done));
     }
     if (observer != nullptr) {
       sim::MessageHopRecord hop_record;
@@ -190,16 +170,16 @@ void Network::Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
 
     switch (hop.type) {
       case topo::LinkType::kMeshX:
-        traffic.mesh_x_bytes += bytes;
+        traffic_.mesh_x_bytes += bytes;
         break;
       case topo::LinkType::kCrossPodX:
-        traffic.cross_pod_x_bytes += bytes;
+        traffic_.cross_pod_x_bytes += bytes;
         break;
       case topo::LinkType::kMeshY:
-        traffic.mesh_y_bytes += bytes;
+        traffic_.mesh_y_bytes += bytes;
         break;
       case topo::LinkType::kWrapY:
-        traffic.wrap_y_bytes += bytes;
+        traffic_.wrap_y_bytes += bytes;
         break;
     }
   }
@@ -208,6 +188,10 @@ void Network::Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
     // crossed, and where each hop's time went (queue/serialize/latency).
     observer->OnMessage(done_seq, std::move(record));
   }
+}
+
+int Network::PodOf(topo::ChipId chip) const {
+  return topology_->CoordOf(chip).x / topology_->config().pod_size_x;
 }
 
 void Network::EnsureTraceState(trace::TraceRecorder* recorder) {
@@ -243,12 +227,11 @@ trace::TraceRecorder::TrackId Network::LinkTrack(
 }
 
 void Network::ExportMetrics(trace::MetricsRegistry& metrics) const {
-  const TrafficStats totals = traffic();
-  metrics.Counter("net.messages").Add(totals.messages);
-  metrics.Counter("net.bytes.mesh_x").Add(totals.mesh_x_bytes);
-  metrics.Counter("net.bytes.cross_pod_x").Add(totals.cross_pod_x_bytes);
-  metrics.Counter("net.bytes.mesh_y").Add(totals.mesh_y_bytes);
-  metrics.Counter("net.bytes.wrap_y").Add(totals.wrap_y_bytes);
+  metrics.Counter("net.messages").Add(traffic_.messages);
+  metrics.Counter("net.bytes.mesh_x").Add(traffic_.mesh_x_bytes);
+  metrics.Counter("net.bytes.cross_pod_x").Add(traffic_.cross_pod_x_bytes);
+  metrics.Counter("net.bytes.mesh_y").Add(traffic_.mesh_y_bytes);
+  metrics.Counter("net.bytes.wrap_y").Add(traffic_.wrap_y_bytes);
   metrics.Gauge("net.max_link_utilization").Max(MaxLinkUtilization());
   metrics.Gauge("net.mean_active_link_utilization")
       .Max(MeanActiveLinkUtilization());

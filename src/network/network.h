@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "sim/exec_context.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 #include "trace/metrics.h"
@@ -73,19 +72,8 @@ class Network {
           sim::Simulator* simulator);
 
   const topo::MeshTopology& topology() const { return *topology_; }
-  // The simulator driving this network. During a PDES partition drain this
-  // resolves to the active partition lane (sim/exec_context.h), so sends and
-  // clock reads issued by partition-confined work land on the right event
-  // queue; serial runs pay one thread-local load and branch.
-  sim::Simulator& simulator() { return sim::ActiveSimulatorOr(simulator_); }
+  sim::Simulator& simulator() { return *simulator_; }
   const NetworkConfig& config() const { return config_; }
-
-  // Pod -> PDES partition mapping and the lookahead floor: cross-pod traffic
-  // pays at least the cross-pod optical-link latency, so a partition (= pod)
-  // can never affect another pod sooner than this far in the simulated
-  // future. This is what bounds the engine's synchronized-window width.
-  int PodOf(topo::ChipId chip) const { return topology_->PodOf(chip); }
-  SimTime CrossPodLookahead() const { return config_.cross_pod_x.latency; }
 
   // Sends `bytes` from `from` to `to` along the dimension-ordered route.
   // `on_done` fires at the simulated time the message fully arrives.
@@ -102,11 +90,7 @@ class Network {
   SimTime EstimateArrival(topo::ChipId from, topo::ChipId to,
                           Bytes bytes) const;
 
-  // Lifetime traffic accounting, merged across the per-partition shards a
-  // PDES run accumulates into (serial runs only ever touch the main shard,
-  // so the merge is the identity). Deterministic: plain integer sums in
-  // fixed shard order.
-  TrafficStats traffic() const;
+  const TrafficStats& traffic() const { return traffic_; }
   // Highest per-link utilization (busy fraction of elapsed sim time).
   double MaxLinkUtilization() const;
   // Mean utilization across links that carried any traffic.
@@ -180,16 +164,7 @@ class Network {
   void EnsureTraceState(trace::TraceRecorder* recorder);
   trace::TraceRecorder::TrackId LinkTrack(trace::TraceRecorder* recorder,
                                           topo::LinkId link);
-
-  // The traffic shard the current execution context accumulates into: the
-  // active PDES partition's shard during a lane drain, the main counters
-  // otherwise.
-  TrafficStats& ActiveTraffic() {
-    const int lane = sim::CurrentPartitionIndex();
-    if (lane < 0) return traffic_;
-    TPU_CHECK_LT(static_cast<std::size_t>(lane), traffic_shards_.size());
-    return traffic_shards_[lane];
-  }
+  int PodOf(topo::ChipId chip) const;
 
   // One hop of a cached route: everything Send needs that is invariant
   // across messages. Live state (degradation, failure, FIFO occupancy) is
@@ -227,21 +202,10 @@ class Network {
   // short-lived, so a flat list with linear scans beats per-link storage.
   std::vector<std::pair<topo::LinkId, double>> degrade_sources_;
   TrafficStats traffic_;
-  // Per-pod shards for PDES partition drains (sized num_pods at
-  // construction, so concurrent lanes never resize shared storage).
-  std::vector<TrafficStats> traffic_shards_;
   // Indexed by source chip; each entry is the handful of (destination,
   // hop schedule) pairs that source has ever messaged — collectives only talk
   // to ring/recursive-halving neighbours, so a linear scan beats hashing.
   // Mutable because EstimateArrival is const but may warm the cache.
-  //
-  // Concurrency contract (PDES): the outer vector is sized at construction
-  // and never resized, so concurrent access to distinct sources never
-  // touches shared storage. Each inner list is owned by its source chip:
-  // during partition drains only the partition (pod) that owns the source
-  // chip reads or warms it, and cross-pod sources are only ever exercised
-  // from the global lane (which runs with every partition worker parked).
-  // network_test's Pdes* cases hold this contract under TSan.
   mutable std::vector<std::vector<std::pair<topo::ChipId, CachedRoute>>>
       route_cache_;
 

@@ -9,12 +9,9 @@
 // recycled pool blocks — see event_callback.h) and pending events sit in an
 // indexed calendar queue (calendar_queue.h) that extracts in exact
 // (when, seq) order. A Simulator and everything it schedules is confined to
-// one thread at a time; independent Simulators on different threads do not
-// share state, which is what lets sweeps and planner searches run points in
-// parallel with bit-identical results. partitioned_simulator.h builds a
-// conservative synchronized-window parallel engine out of several Simulators
-// (one per pod partition plus a global lane), draining each lane on exactly
-// one worker per window with barriers in between.
+// one thread; independent Simulators on different threads do not share
+// state, which is what lets sweeps and planner searches run points in
+// parallel with bit-identical results.
 #pragma once
 
 #include <algorithm>
@@ -33,12 +30,7 @@ class Simulator {
  public:
   using Callback = EventCallback;
 
-  // Binds to the thread's active callback pool (the thread's own pool unless
-  // the PDES engine has installed a per-partition override); pool health
-  // accessors report deltas against that pool.
-  Simulator() : Simulator(&CallbackPool::Active()) {}
-  explicit Simulator(CallbackPool* pool)
-      : pool_(pool), pool_baseline_(pool->stats()) {}
+  Simulator() : pool_baseline_(CallbackPool::ThisThread().stats()) {}
 
   SimTime now() const { return now_; }
 
@@ -61,11 +53,9 @@ class Simulator {
     const std::uint64_t seq = next_seq_++;
     queue_.Push(Event{when, seq, std::move(cb)});
     ++events_scheduled_;
-    // Pending telemetry/engine events share the queue but not the
-    // accounting: the work-event high-water mark must read the same with
-    // sampling on or off.
-    const std::size_t depth =
-        queue_.size() - telemetry_seqs_.size() - engine_seqs_.size();
+    // Pending telemetry events share the queue but not the accounting: the
+    // work-event high-water mark must read the same with sampling on or off.
+    const std::size_t depth = queue_.size() - telemetry_seqs_.size();
     if (depth > peak_queue_depth_) peak_queue_depth_ = depth;
     if (EventObserver* observer = CurrentEventObserver()) {
       observer->OnSchedule(seq, current_seq_, now_, when);
@@ -90,64 +80,10 @@ class Simulator {
     return seq;
   }
 
-  // Schedules an engine-class event (the PDES engine's window protocol:
-  // cross-partition deliveries and barrier-release continuations). Like
-  // telemetry-class events these share the clock and the (when, seq) total
-  // order but are excluded from the user-visible work accounting and
-  // invisible to observers — a windowed run reports the same
-  // events_scheduled/processed as the serial run it reproduces. Unlike
-  // telemetry events their callbacks schedule real work (that is their whole
-  // job); the engine only runs when no observer is installed, so the
-  // "children of an invisible parent" case never reaches an observer.
-  std::uint64_t ScheduleEngineAt(SimTime when, Callback cb) {
-    TPU_CHECK_GE(when, now_);
-    const std::uint64_t seq = next_seq_++;
-    queue_.Push(Event{when, seq, std::move(cb)});
-    ++engine_events_scheduled_;
-    engine_seqs_.push_back(seq);  // seqs are monotonic: stays sorted
-    return seq;
-  }
-
   // Runs until the event queue drains. Returns the final clock value.
   SimTime Run() {
     while (!queue_.empty()) Step();
     return now_;
-  }
-
-  // Drains events strictly earlier than `bound` — the PDES engine's window
-  // primitive (events at exactly the window boundary belong to the next
-  // window). Stops early when *pause flips true (the engine sets it when a
-  // globally-executing callback fans work out to partition lanes, so the
-  // global lane never runs ahead of partition activity it just created).
-  // Returns the number of events processed.
-  std::uint64_t RunBefore(SimTime bound, const bool* pause = nullptr) {
-    std::uint64_t processed = 0;
-    while (!queue_.empty() && queue_.Top().when < bound) {
-      Step();
-      ++processed;
-      if (pause != nullptr && *pause) break;
-    }
-    return processed;
-  }
-
-  // Earliest pending event time. Only valid when !empty(). Non-const because
-  // peeking may re-center the calendar queue's window (an internal
-  // reorganization; the event order is unchanged).
-  SimTime NextEventTime() {
-    TPU_CHECK(!queue_.empty());
-    return queue_.Top().when;
-  }
-
-  // Advances the clock to `when` and runs `fn` as if it were the body of an
-  // event at that time, without going through the queue or the accounting.
-  // The PDES engine uses this to run partition kick-offs at the fan-out
-  // instant; the serial run executes the identical code inline inside the
-  // event that triggered the fan-out, so neither path counts an extra event.
-  template <typename Fn>
-  void ExecuteAt(SimTime when, Fn&& fn) {
-    TPU_CHECK_GE(when, now_);
-    now_ = when;
-    std::forward<Fn>(fn)();
   }
 
   // What RunUntil does with the clock when the queue drains before the
@@ -176,11 +112,10 @@ class Simulator {
   std::uint64_t events_scheduled() const { return events_scheduled_; }
   // High-water mark of the pending-event queue.
   std::size_t peak_queue_depth() const { return peak_queue_depth_; }
-  // Pending work events right now (telemetry- and engine-class events
-  // excluded) — the quantity the telemetry sampler itself records as
-  // "sim.queue_depth".
+  // Pending work events right now (telemetry-class events excluded) — the
+  // quantity the telemetry sampler itself records as "sim.queue_depth".
   std::size_t queue_depth() const {
-    return queue_.size() - telemetry_seqs_.size() - engine_seqs_.size();
+    return queue_.size() - telemetry_seqs_.size();
   }
   // Telemetry-class events, accounted separately from the user-visible
   // events_scheduled()/events_processed() counters.
@@ -190,14 +125,6 @@ class Simulator {
   std::uint64_t telemetry_events_processed() const {
     return telemetry_events_processed_;
   }
-  // Engine-class (PDES window protocol) events, likewise accounted apart
-  // from the user-visible counters. Always zero in a serial run.
-  std::uint64_t engine_events_scheduled() const {
-    return engine_events_scheduled_;
-  }
-  std::uint64_t engine_events_processed() const {
-    return engine_events_processed_;
-  }
 
   // Event-core health: how callbacks were stored, and how the out-of-line
   // pool behaved over this simulator's lifetime (deltas against the owning
@@ -206,13 +133,14 @@ class Simulator {
   std::uint64_t callbacks_inline() const { return callbacks_inline_; }
   std::uint64_t callbacks_pooled() const { return callbacks_pooled_; }
   std::uint64_t pool_hits() const {
-    return pool_->stats().hits - pool_baseline_.hits;
+    return CallbackPool::ThisThread().stats().hits - pool_baseline_.hits;
   }
   std::uint64_t pool_fresh_allocs() const {
-    return pool_->stats().fresh - pool_baseline_.fresh;
+    return CallbackPool::ThisThread().stats().fresh - pool_baseline_.fresh;
   }
   std::uint64_t pool_oversize_allocs() const {
-    return pool_->stats().oversize - pool_baseline_.oversize;
+    return CallbackPool::ThisThread().stats().oversize -
+           pool_baseline_.oversize;
   }
   // Times the calendar queue re-centered its bucket window.
   std::uint64_t queue_refills() const { return queue_.refills(); }
@@ -240,14 +168,6 @@ class Simulator {
       ev.cb();
       return;
     }
-    // Engine-class events (cross-partition deliveries, barrier releases) get
-    // the same treatment: clock and ordering yes, work accounting no. The
-    // emptiness check keeps the serial hot path at one extra branch.
-    if (!engine_seqs_.empty() && PopSeq(engine_seqs_, ev.seq)) {
-      ++engine_events_processed_;
-      ev.cb();
-      return;
-    }
     ++events_processed_;
     if (EventObserver* observer = CurrentEventObserver()) {
       // Events scheduled by ev.cb() are causally ev's children; current_seq_
@@ -267,13 +187,10 @@ class Simulator {
   // one self-rescheduling tick per sampler — so the lookup is a binary
   // search over a handful of entries.
   bool PopTelemetrySeq(std::uint64_t seq) {
-    return PopSeq(telemetry_seqs_, seq);
-  }
-
-  static bool PopSeq(std::vector<std::uint64_t>& seqs, std::uint64_t seq) {
-    auto it = std::lower_bound(seqs.begin(), seqs.end(), seq);
-    if (it == seqs.end() || *it != seq) return false;
-    seqs.erase(it);
+    auto it = std::lower_bound(telemetry_seqs_.begin(), telemetry_seqs_.end(),
+                               seq);
+    if (it == telemetry_seqs_.end() || *it != seq) return false;
+    telemetry_seqs_.erase(it);
     return true;
   }
 
@@ -289,10 +206,6 @@ class Simulator {
   std::vector<std::uint64_t> telemetry_seqs_;
   std::uint64_t telemetry_events_scheduled_ = 0;
   std::uint64_t telemetry_events_processed_ = 0;
-  std::vector<std::uint64_t> engine_seqs_;
-  std::uint64_t engine_events_scheduled_ = 0;
-  std::uint64_t engine_events_processed_ = 0;
-  CallbackPool* pool_;
   CallbackPool::Stats pool_baseline_;
 };
 
@@ -359,20 +272,6 @@ class Barrier {
     }
     if (--remaining_ == 0) on_all_done_();
   }
-
-  // PDES engine support (partitioned_simulator.h). When a phase is fanned
-  // out across partition lanes, each lane buffers its completions instead of
-  // calling Notify() directly; the engine's coordinator applies them in a
-  // fixed merge order at the next synchronization point. EngineDecrement
-  // returns true when this notification is the last one; the engine then
-  // moves the completion out with TakeOnAllDone and schedules it as an
-  // engine-class event on the lane that created the barrier, at the maximum
-  // buffered notify time — the instant the serial run would have fired it.
-  bool EngineDecrement() {
-    TPU_CHECK_GT(remaining_, 0);
-    return --remaining_ == 0;
-  }
-  Simulator::Callback TakeOnAllDone() { return std::move(on_all_done_); }
 
  private:
   int remaining_;

@@ -48,33 +48,4 @@ void RegisterLinkProbes(TimeSeriesSampler& sampler, const net::Network& network,
   });
 }
 
-void RegisterPdesProbes(TimeSeriesSampler& sampler,
-                        const sim::PartitionedSimulator& engine) {
-  const sim::PartitionedSimulator* pdes = &engine;
-  sampler.RegisterProbe("pdes.windows", [pdes] {
-    return static_cast<double>(pdes->windows_executed());
-  });
-  sampler.RegisterProbe("pdes.barrier_waits", [pdes] {
-    return static_cast<double>(pdes->barrier_waits());
-  });
-  sampler.RegisterProbe("pdes.cross_messages", [pdes] {
-    return static_cast<double>(pdes->cross_messages());
-  });
-  sampler.RegisterProbe("pdes.join_notifications", [pdes] {
-    return static_cast<double>(pdes->join_notifications());
-  });
-  sampler.RegisterProbe("pdes.queue_depth", [pdes] {
-    return static_cast<double>(pdes->TotalQueueDepth());
-  });
-  for (int p = 0; p < engine.partitions(); ++p) {
-    const std::string prefix = "pdes.partition." + std::to_string(p);
-    sampler.RegisterProbe(prefix + ".queue_depth", [pdes, p] {
-      return static_cast<double>(pdes->partition(p).queue_depth());
-    });
-    sampler.RegisterProbe(prefix + ".events_processed", [pdes, p] {
-      return static_cast<double>(pdes->PartitionEventsProcessed(p));
-    });
-  }
-}
-
 }  // namespace tpu::telemetry

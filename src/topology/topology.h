@@ -156,23 +156,6 @@ class MeshTopology {
     return (x + 1) % config_.pod_size_x == 0 && x + 1 < size_x();
   }
 
-  // Pod -> partition carving for the parallel event core: pods are laid out
-  // side by side along X, so a chip's pod index is its X coordinate divided
-  // by the pod width. Every chip of a Y column (and hence every Y-dimension
-  // ring) lives in exactly one pod; only X-dimension traffic crosses pods.
-  int num_pods() const { return config_.num_pods; }
-  int PodOf(ChipId chip) const { return CoordOf(chip).x / config_.pod_size_x; }
-  // True when `chips` all fall in the same pod (the condition for running
-  // their events on one PDES partition).
-  bool SamePod(const std::vector<ChipId>& chips) const {
-    if (chips.empty()) return true;
-    const int pod = PodOf(chips.front());
-    for (ChipId chip : chips) {
-      if (PodOf(chip) != pod) return false;
-    }
-    return true;
-  }
-
   std::string ToString() const;
 
  private:

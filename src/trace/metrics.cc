@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "sim/partitioned_simulator.h"
 #include "sim/simulator.h"
 
 namespace tpu::trace {
@@ -198,45 +197,6 @@ void ExportSimulatorMetrics(const sim::Simulator& simulator,
         .Add(static_cast<std::int64_t>(simulator.telemetry_events_scheduled()));
     metrics.Counter(prefix + ".telemetry_events_processed")
         .Add(static_cast<std::int64_t>(simulator.telemetry_events_processed()));
-  }
-}
-
-void ExportSimulatorMetrics(const sim::PartitionedSimulator& engine,
-                            const std::string& prefix,
-                            MetricsRegistry& metrics) {
-  // Counters add and gauges keep the max, so exporting every lane under the
-  // same prefix merges them: the work-event totals match a serial run of the
-  // same workload bit-exactly. Allocator-health counters are per-lane sums
-  // (each lane owns its own callback pool) and peak_queue_depth is the
-  // deepest single lane, not the serial run's single-queue peak.
-  ExportSimulatorMetrics(engine.global(), prefix, metrics);
-  for (int p = 0; p < engine.partitions(); ++p) {
-    ExportSimulatorMetrics(engine.partition(p), prefix, metrics);
-  }
-  const sim::PdesStats stats = engine.Stats();
-  metrics.Gauge(prefix + ".pdes.partitions")
-      .Set(static_cast<double>(stats.partitions));
-  metrics.Gauge(prefix + ".pdes.threads")
-      .Set(static_cast<double>(stats.threads));
-  metrics.Gauge(prefix + ".pdes.lookahead_us").Set(ToMicros(stats.lookahead));
-  metrics.Gauge(prefix + ".pdes.window_us").Set(ToMicros(stats.window));
-  metrics.Counter(prefix + ".pdes.windows")
-      .Add(static_cast<std::int64_t>(stats.windows));
-  metrics.Counter(prefix + ".pdes.barrier_waits")
-      .Add(static_cast<std::int64_t>(stats.barrier_waits));
-  metrics.Counter(prefix + ".pdes.cross_messages")
-      .Add(static_cast<std::int64_t>(stats.cross_messages));
-  metrics.Counter(prefix + ".pdes.join_notifications")
-      .Add(static_cast<std::int64_t>(stats.join_notifications));
-  metrics.Counter(prefix + ".pdes.engine_events")
-      .Add(static_cast<std::int64_t>(stats.engine_events));
-  // Per-partition processed-event counters: the post-run load-imbalance
-  // breakdown (telemetry::RegisterPdesProbes samples the same signal live).
-  for (int p = 0; p < engine.partitions(); ++p) {
-    metrics
-        .Counter(prefix + ".pdes.partition." + std::to_string(p) +
-                 ".events_processed")
-        .Add(static_cast<std::int64_t>(stats.partition_events_processed[p]));
   }
 }
 

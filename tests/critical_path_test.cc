@@ -15,7 +15,6 @@
 #include "models/model_specs.h"
 #include "network/network.h"
 #include "plan/planner.h"
-#include "sim/partitioned_simulator.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 #include "trace/critical_path.h"
@@ -244,58 +243,6 @@ TEST(CriticalPath, TrackerResetsWhenAFreshSimulatorStarts) {
   // new simulator.
   EXPECT_EQ(tracker.node_count(), 1);
   EXPECT_EQ(tracker.Analyze().makespan, 5.0);
-}
-
-// An installed event observer forces the PDES engine to stand down: the
-// tracker needs every event in one global causal order, which partition-local
-// drains cannot give it. A traced step under an enabled PdesConfig must
-// therefore run the serial path and produce exactly the same result AND the
-// same critical-path report as a run with the config off — observers are
-// never silently degraded and never see a half-merged event stream.
-TEST(CriticalPath, ObserverForcesSerialFallbackWithBitIdenticalReport) {
-  topo::TopologyConfig shape;
-  shape.pod_size_x = 8;
-  shape.pod_size_y = 8;
-  shape.num_pods = 4;
-  const topo::MeshTopology topo(shape);
-
-  auto tracked_run = [&](bool pdes_on, sim::PdesStats* stats) {
-    sim::PdesConfig pdes;
-    pdes.enable = pdes_on;
-    pdes.threads = 4;
-    pdes.stats = stats;
-    sim::ScopedPdesConfig pdes_scope(pdes);
-    SummationRun run;
-    sim::Simulator simulator;
-    net::Network network(&topo, {}, &simulator);
-    trace::CriticalPathTracker tracker;
-    sim::ScopedEventObserver observe(&tracker);
-    coll::GradientSummationConfig config;
-    config.elems = 1 << 18;
-    run.result = coll::TwoDGradientSummation(network, config);
-    run.report = tracker.Analyze();
-    return run;
-  };
-
-  sim::PdesStats stats;
-  const SummationRun with_pdes = tracked_run(true, &stats);
-  const SummationRun without = tracked_run(false, nullptr);
-  EXPECT_FALSE(stats.engaged);  // the observer vetoed the engine
-  EXPECT_EQ(with_pdes.result.phase_seconds.y_reduce_scatter,
-            without.result.phase_seconds.y_reduce_scatter);
-  EXPECT_EQ(with_pdes.result.phase_seconds.x_reduce_scatter,
-            without.result.phase_seconds.x_reduce_scatter);
-  EXPECT_EQ(with_pdes.result.phase_seconds.x_all_gather,
-            without.result.phase_seconds.x_all_gather);
-  EXPECT_EQ(with_pdes.result.phase_seconds.y_all_gather,
-            without.result.phase_seconds.y_all_gather);
-  EXPECT_EQ(with_pdes.result.total(), without.result.total());
-  EXPECT_EQ(with_pdes.report.makespan, without.report.makespan);
-  EXPECT_EQ(with_pdes.report.path_nodes, without.report.path_nodes);
-  EXPECT_EQ(with_pdes.report.total_nodes, without.report.total_nodes);
-  EXPECT_EQ(with_pdes.report.comm_seconds, without.report.comm_seconds);
-  EXPECT_EQ(with_pdes.report.local_seconds, without.report.local_seconds);
-  EXPECT_EQ(with_pdes.report.segments.size(), without.report.segments.size());
 }
 
 }  // namespace

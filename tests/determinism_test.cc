@@ -262,15 +262,10 @@ TEST(Determinism, SweepUnderTelemetryFallsBackToSerialByteIdentically) {
 // cross-pod cable death, telemetry optionally installed, planner searches
 // at `search_threads`.
 std::string SeededClusterReportJson(int search_threads,
-                                    telemetry::TelemetrySession* session,
-                                    int pdes_threads = 0) {
+                                    telemetry::TelemetrySession* session) {
   cluster::ClusterConfig config;
   config.horizon = Hours(0.5);
   config.recovery.search_threads = search_threads;
-  if (pdes_threads > 0) {
-    config.system.pdes.enable = true;
-    config.system.pdes.threads = pdes_threads;
-  }
   config.faults.seed = 13;
   config.faults.link_flap_mtbf = Seconds(4e4);
   config.faults.slow_host_mtbf = Seconds(8e4);
@@ -310,133 +305,35 @@ TEST(Determinism, ClusterReportIsThreadCountInvariant) {
   EXPECT_EQ(serial, threaded);
 }
 
-// ---- Conservative synchronized-window PDES (sim/partitioned_simulator.h).
-// The contract under test: simulated timestamps, work-event counts and
-// traffic totals are bit-identical at any thread count, including the
-// serial engine itself (threads = 1 never constructs the engine).
-
-// One time-only 2-D gradient summation on a 4-pod multipod slice (4 pods of
-// 8x8 — small enough for a unit test, multi-pod enough to engage).
-struct PdesSummationRun {
-  coll::GradientSummationResult result;
-  net::TrafficStats traffic;
-  std::uint64_t events_processed = 0;
-  std::uint64_t events_scheduled = 0;
-  sim::PdesStats pdes;
-};
-
-PdesSummationRun RunPdesSummation(int threads) {
-  topo::TopologyConfig shape;
-  shape.pod_size_x = 8;
-  shape.pod_size_y = 8;
-  shape.num_pods = 4;
-  const topo::MeshTopology topo(shape);
-  sim::Simulator simulator;
-  net::Network network(&topo, {}, &simulator);
-  network.DegradeLink(
-      topo.LinkBetween(topo.ChipAt({5, 2}), topo.ChipAt({5, 3})), 3.0);
-
-  sim::PdesConfig pdes;
-  pdes.enable = threads > 0;
-  pdes.threads = threads > 0 ? threads : 1;
-  PdesSummationRun run;
-  pdes.stats = &run.pdes;
-  sim::ScopedPdesConfig install(pdes);
-
-  coll::GradientSummationConfig config;
-  config.elems = 1 << 18;
-  run.result = coll::TwoDGradientSummation(network, config);
-  run.traffic = network.traffic();
-  run.events_processed =
-      run.pdes.engaged ? run.pdes.events_processed : simulator.events_processed();
-  run.events_scheduled =
-      run.pdes.engaged ? run.pdes.events_scheduled : simulator.events_scheduled();
-  return run;
-}
-
-void ExpectSummationRunsEqual(const PdesSummationRun& a,
-                              const PdesSummationRun& b) {
-  EXPECT_EQ(a.result.reduce_seconds, b.result.reduce_seconds);
-  EXPECT_EQ(a.result.update_seconds, b.result.update_seconds);
-  EXPECT_EQ(a.result.broadcast_seconds, b.result.broadcast_seconds);
-  EXPECT_EQ(a.result.phase_seconds.y_reduce_scatter,
-            b.result.phase_seconds.y_reduce_scatter);
-  EXPECT_EQ(a.result.phase_seconds.x_reduce_scatter,
-            b.result.phase_seconds.x_reduce_scatter);
-  EXPECT_EQ(a.result.phase_seconds.update, b.result.phase_seconds.update);
-  EXPECT_EQ(a.result.phase_seconds.x_all_gather,
-            b.result.phase_seconds.x_all_gather);
-  EXPECT_EQ(a.result.phase_seconds.y_all_gather,
-            b.result.phase_seconds.y_all_gather);
-  EXPECT_EQ(a.traffic.mesh_x_bytes, b.traffic.mesh_x_bytes);
-  EXPECT_EQ(a.traffic.cross_pod_x_bytes, b.traffic.cross_pod_x_bytes);
-  EXPECT_EQ(a.traffic.mesh_y_bytes, b.traffic.mesh_y_bytes);
-  EXPECT_EQ(a.traffic.wrap_y_bytes, b.traffic.wrap_y_bytes);
-  EXPECT_EQ(a.traffic.messages, b.traffic.messages);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.events_scheduled, b.events_scheduled);
-}
-
-TEST(Determinism, PdesSummationMatchesSerialAtAnyThreadCount) {
-  const PdesSummationRun serial = RunPdesSummation(0);  // engine disabled
-  ASSERT_FALSE(serial.pdes.engaged);
-  for (const int threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const PdesSummationRun run = RunPdesSummation(threads);
-    // threads = 1 is the documented one-branch degeneration: the engine is
-    // never constructed. Any higher count must engage and still match.
-    EXPECT_EQ(run.pdes.engaged, threads > 1);
-    if (run.pdes.engaged) {
-      EXPECT_EQ(run.pdes.partitions, 4);
-      EXPECT_GT(run.pdes.windows, 0u);
-      EXPECT_GT(run.pdes.join_notifications, 0u);
-    }
-    ExpectSummationRunsEqual(serial, run);
-  }
-}
-
-TEST(Determinism, PdesTrainingUnderFailuresAtScaleIsThreadCountInvariant) {
-  // The acceptance-scale run: fault-tolerant training on the full 4096-chip
-  // multipod (4 pods of 32x32, analytic MTBF model). The entire result —
-  // step economics, detection latency, expected makespan, goodput — must be
-  // bit-identical across {1, 2, 4, 8} PDES threads and to the engine-off
-  // baseline.
-  auto run = [](bool enable, int threads) {
-    core::SystemOptions options;
-    options.pdes.enable = enable;
-    options.pdes.threads = threads;
-    core::FaultToleranceOptions fault_options;
-    fault_options.faults.chip_mtbf = Seconds(2e5);
-    core::MultipodSystem system(4096, options);
+TEST(Determinism, TrainingUnderFailuresAtScaleIsBitIdenticalAcrossRuns) {
+  // The full 4096-chip multipod (4 pods of 32x32, analytic MTBF model): step
+  // economics, detection latency, expected makespan and goodput replay
+  // bit-identically.
+  auto run = [] {
+    core::FaultToleranceOptions options;
+    options.faults.chip_mtbf = Seconds(2e5);
+    core::MultipodSystem system(4096);
     return system.SimulateTrainingUnderFailures(
         models::Benchmark::kResNet50, 32768, 1,
-        frameworks::Framework::kTensorFlow, fault_options);
+        frameworks::Framework::kTensorFlow, options);
   };
-  const auto baseline = run(false, 1);
-  for (const int threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const auto result = run(true, threads);
-    EXPECT_EQ(baseline.failure_free.train_seconds,
-              result.failure_free.train_seconds);
-    EXPECT_EQ(baseline.failure_free.eval_seconds,
-              result.failure_free.eval_seconds);
-    EXPECT_EQ(baseline.failure_free.step.step(),
-              result.failure_free.step.step());
-    EXPECT_EQ(baseline.system_mtbf, result.system_mtbf);
-    EXPECT_EQ(baseline.detection_latency, result.detection_latency);
-    EXPECT_EQ(baseline.checkpoint_interval, result.checkpoint_interval);
-    EXPECT_EQ(baseline.expected_seconds, result.expected_seconds);
-    EXPECT_EQ(baseline.goodput, result.goodput);
-  }
+  const auto a = run();
+  const auto b = run();
+  EXPECT_EQ(a.failure_free.train_seconds, b.failure_free.train_seconds);
+  EXPECT_EQ(a.failure_free.eval_seconds, b.failure_free.eval_seconds);
+  EXPECT_EQ(a.failure_free.step.step(), b.failure_free.step.step());
+  EXPECT_EQ(a.system_mtbf, b.system_mtbf);
+  EXPECT_EQ(a.detection_latency, b.detection_latency);
+  EXPECT_EQ(a.checkpoint_interval, b.checkpoint_interval);
+  EXPECT_EQ(a.expected_seconds, b.expected_seconds);
+  EXPECT_EQ(a.goodput, b.goodput);
 }
 
-TEST(Determinism, PdesPlannerSearchOnDegradedSliceIsThreadCountInvariant) {
-  // The planner's candidate evaluations run pod-spanning schedules on a
-  // single-pod 16x8 slice, so the engine legitimately degenerates to the
-  // serial path — the ambient PDES request must not move the search result
-  // by a ULP at any thread count.
+TEST(Determinism, PlannerSearchOnDegradedSliceIsThreadCountInvariant) {
+  // Link health reaches both pricing tiers; the winner on a degraded 16x8
+  // slice must not move by a ULP on repeat or at any re-pricing thread count.
   const topo::MeshTopology topo(topo::TopologyConfig::Slice(16, 8, true));
-  net::NetworkConfig config;
+  const net::NetworkConfig config;
   plan::PlanRequest request;
   request.elems = 1 << 16;
   request.max_chunks = 4;
@@ -445,15 +342,12 @@ TEST(Determinism, PdesPlannerSearchOnDegradedSliceIsThreadCountInvariant) {
   health.degraded = {
       {topo.LinkBetween(topo.ChipAt({3, 2}), topo.ChipAt({3, 3})), 8.0}};
   auto search = [&](int threads) {
-    sim::PdesConfig pdes;
-    pdes.enable = threads > 0;
-    pdes.threads = threads > 0 ? threads : 1;
-    sim::ScopedPdesConfig install(pdes);
+    request.search_threads = threads;
     return plan::FindBestPlan(topo, config, request, health);
   };
-  const auto baseline = search(0);
-  for (const int threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+  const auto baseline = search(1);
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("search_threads=" + std::to_string(threads));
     const auto result = search(threads);
     EXPECT_EQ(baseline.plan, result.plan);
     EXPECT_EQ(baseline.plan.name(), result.plan.name());
@@ -462,16 +356,21 @@ TEST(Determinism, PdesPlannerSearchOnDegradedSliceIsThreadCountInvariant) {
   }
 }
 
-TEST(Determinism, PdesClusterReportIsByteIdenticalAtAnyThreadCount) {
-  // The multi-tenant cluster run under the ambient PDES request: tenant
-  // steps on multi-pod slices may engage the engine, single-pod tenants
-  // degenerate, and the full report JSON must stay byte-identical.
-  const std::string baseline = SeededClusterReportJson(1, nullptr);
-  for (const int threads : {2, 4, 8}) {
-    SCOPED_TRACE("pdes_threads=" + std::to_string(threads));
-    const std::string report = SeededClusterReportJson(1, nullptr, threads);
-    EXPECT_EQ(baseline, report);
-  }
+TEST(Determinism, FourPodTimeOnlySummationHoldsItsEventCountAndTime) {
+  // A time-only 2-D summation on four 16x16 pods over the default network,
+  // held to exact values: the work-event count and the simulated time.
+  topo::TopologyConfig shape;
+  shape.pod_size_x = 16;
+  shape.pod_size_y = 16;
+  shape.num_pods = 4;
+  const topo::MeshTopology topo(shape);
+  sim::Simulator simulator;
+  net::Network network(&topo, net::NetworkConfig{}, &simulator);
+  coll::GradientSummationConfig config;
+  config.elems = 25'600'000;
+  const auto result = coll::TwoDGradientSummation(network, config);
+  EXPECT_EQ(simulator.events_processed(), 577536u);
+  EXPECT_EQ(ToMillis(result.total()), 1.9597142857142786);
 }
 
 }  // namespace

@@ -1,10 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <vector>
-
 #include "network/network.h"
-#include "sim/partitioned_simulator.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 
@@ -127,76 +123,6 @@ TEST(NetworkCrossPod, CrossPodLatencyIsHigher) {
   simulator.Run();
   EXPECT_GT(cross - t0, within);
   EXPECT_GT(network.traffic().cross_pod_x_bytes, 0);
-}
-
-// Route-cache + traffic-shard concurrency contract (the comment block on
-// Network::route_cache_): during PDES partition drains each pod's lane warms
-// and reads only the inner route lists of its own source chips and
-// accumulates into its own traffic shard, so parallel lanes never touch
-// shared storage. This test drives four lanes through repeated pod-confined
-// sends — first rounds warm the cache, later rounds re-read it while other
-// lanes warm theirs — and is part of the TSan CI matrix, which would flag
-// any violation of the contract. Timestamps and merged traffic must come
-// out bit-identical to the single-threaded engine run.
-TEST(NetworkPdes, ConcurrentPartitionSendsKeepRouteCacheAndTrafficExact) {
-  topo::TopologyConfig shape;
-  shape.pod_size_x = 4;
-  shape.pod_size_y = 4;
-  shape.num_pods = 4;
-  const topo::MeshTopology topo(shape);
-  constexpr int kLanes = 4;
-  constexpr int kRounds = 5;
-
-  struct RunResult {
-    std::vector<std::vector<SimTime>> completions;  // per lane, in issue order
-    TrafficStats traffic;
-  };
-  auto run = [&](int threads) {
-    sim::Simulator global;
-    Network network(&topo, {}, &global);
-    sim::PartitionedSimulator engine(&global, kLanes,
-                                     network.CrossPodLookahead(), threads);
-    RunResult result;
-    result.completions.resize(kLanes);
-    // Each lane chains kRounds of two pod-confined sends (a Y route and an
-    // in-pod X route) over the same chip pairs: round 1 warms the cached
-    // routes, later rounds re-read them while sibling lanes warm or read
-    // theirs concurrently.
-    std::function<void(int, int)> round = [&](int lane, int remaining) {
-      if (remaining == 0) return;
-      const int base_x = 4 * lane;
-      auto log_and_continue = [&result, &network, lane, remaining, &round] {
-        result.completions[lane].push_back(network.simulator().now());
-        if (result.completions[lane].size() % 2 == 0) {
-          round(lane, remaining - 1);
-        }
-      };
-      network.Send(topo.ChipAt({base_x, 0}), topo.ChipAt({base_x, 3}), 4096,
-                   log_and_continue);
-      network.Send(topo.ChipAt({base_x, 1}), topo.ChipAt({base_x + 3, 1}),
-                   8192, log_and_continue);
-    };
-    for (int lane = 0; lane < kLanes; ++lane) {
-      engine.Post(lane, 0.0, [&round, lane] { round(lane, kRounds); });
-    }
-    engine.Run();
-    result.traffic = network.traffic();
-    return result;
-  };
-
-  const RunResult serial = run(1);
-  const RunResult parallel = run(kLanes);
-  EXPECT_EQ(serial.completions, parallel.completions);
-  EXPECT_EQ(serial.traffic.mesh_x_bytes, parallel.traffic.mesh_x_bytes);
-  EXPECT_EQ(serial.traffic.mesh_y_bytes, parallel.traffic.mesh_y_bytes);
-  EXPECT_EQ(serial.traffic.wrap_y_bytes, parallel.traffic.wrap_y_bytes);
-  EXPECT_EQ(serial.traffic.messages, parallel.traffic.messages);
-  // Every lane ran all of its rounds and the merged shards saw every send.
-  for (int lane = 0; lane < kLanes; ++lane) {
-    EXPECT_EQ(parallel.completions[lane].size(), 2u * kRounds);
-  }
-  EXPECT_EQ(parallel.traffic.messages, 2 * kRounds * kLanes);
-  EXPECT_EQ(parallel.traffic.cross_pod_x_bytes, 0);
 }
 
 TEST(NetworkUtilization, ReportsBusyFraction) {
