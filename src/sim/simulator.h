@@ -6,12 +6,12 @@
 // together with the deterministic RNG makes every simulation bit-reproducible.
 //
 // The hot path is allocation-free: callbacks live inline in the event (or in
-// recycled pool blocks — see event_callback.h) and pending events sit in an
-// indexed calendar queue (calendar_queue.h) that extracts in exact
-// (when, seq) order. A Simulator and everything it schedules is confined to
-// one thread; independent Simulators on different threads do not share
-// state, which is what lets sweeps and planner searches run points in
-// parallel with bit-identical results.
+// recycled pool blocks — see event_callback.h) and pending events sit in a
+// timestamp-run queue (run_queue.h) that extracts in exact (when, seq)
+// order. A Simulator and everything it schedules is confined to one thread;
+// independent Simulators on different threads do not share state, which is
+// what lets sweeps and planner searches run points in parallel with
+// bit-identical results.
 #pragma once
 
 #include <algorithm>
@@ -20,9 +20,9 @@
 
 #include "common/check.h"
 #include "common/units.h"
-#include "sim/calendar_queue.h"
 #include "sim/event_callback.h"
 #include "sim/event_observer.h"
+#include "sim/run_queue.h"
 
 namespace tpu::sim {
 
@@ -142,8 +142,10 @@ class Simulator {
     return CallbackPool::ThisThread().stats().oversize -
            pool_baseline_.oversize;
   }
-  // Times the calendar queue re-centered its bucket window.
-  std::uint64_t queue_refills() const { return queue_.refills(); }
+  // Always 0: the run queue has no window to re-center. Kept, with the
+  // exported "*.queue_refills" counter, because committed baselines and the
+  // benchmark still read them.
+  std::uint64_t queue_refills() const { return 0; }
 
  private:
   struct Event {
@@ -194,7 +196,7 @@ class Simulator {
     return true;
   }
 
-  CalendarQueue<Event> queue_;
+  RunQueue<Event> queue_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::int64_t current_seq_ = EventObserver::kNoEvent;

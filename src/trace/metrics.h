@@ -126,7 +126,8 @@ class ScopedMetrics {
 // Accumulates one simulator's lifetime statistics into the registry under
 // `prefix`: events processed/scheduled, peak queue depth, callback storage
 // split (inline vs pooled), callback-pool allocator health (hits vs fresh vs
-// oversize allocations), and calendar-queue window refills.
+// oversize allocations), and queue refills (always 0; see
+// Simulator::queue_refills).
 void ExportSimulatorMetrics(const sim::Simulator& simulator,
                             const std::string& prefix,
                             MetricsRegistry& metrics);

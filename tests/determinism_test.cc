@@ -1,4 +1,4 @@
-// Bit-reproducibility gates for the event-core overhaul: the calendar queue,
+// Bit-reproducibility gates for the event core: the timestamp-run queue,
 // pooled callbacks, cached routes, and parallel sweep/search tiers must not
 // perturb simulated time by a single ULP. Every comparison here is exact
 // (EXPECT_EQ on doubles), not approximate.
