@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "collectives/payload_pool.h"
+#include "collectives/step_barrier.h"
 #include "common/bfloat16.h"
 #include "common/check.h"
 #include "common/math_util.h"
@@ -22,37 +23,6 @@ Range ChunkSpan(const Range& range, int parts, int first, int last) {
   const Range hi = ChunkOfRange(range, parts, last - 1);
   return Range{lo.begin, hi.end};
 }
-
-// Join-counter for the per-round rendezvous, owned by its own notifications
-// (see the identical pattern in ring.cc): raw-pointer captures keep the hot
-// per-message callbacks free of refcount traffic.
-class StepBarrier {
- public:
-  StepBarrier(int expected, sim::Simulator::Callback on_all_done)
-      : remaining_(expected), on_all_done_(std::move(on_all_done)) {
-    TPU_CHECK_GT(expected, 0);
-    if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
-      join_ = observer->OnJoinOpen(expected);
-    }
-  }
-
-  void Notify() {
-    if (join_ >= 0) {
-      if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
-        observer->OnJoinNotify(join_);
-      }
-    }
-    if (--remaining_ == 0) {
-      on_all_done_();
-      delete this;
-    }
-  }
-
- private:
-  int remaining_;
-  int join_ = -1;
-  sim::Simulator::Callback on_all_done_;
-};
 
 // One group executing recursive halving (reduce-scatter) or recursive
 // doubling (all-gather). Rounds are separated by a per-group barrier, the

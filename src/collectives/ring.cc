@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "collectives/payload_pool.h"
+#include "collectives/step_barrier.h"
 #include "common/bfloat16.h"
 #include "common/check.h"
 #include "common/math_util.h"
@@ -33,41 +34,6 @@ std::pair<Range, Range> DirectionHalves(const Range& range) {
   return {Range{range.begin, mid}, Range{mid, range.end}};
 }
 
-// Join-counter for the per-step rendezvous, owned by its own notifications:
-// the last Notify fires the continuation and deletes the barrier. Callbacks
-// capture it as a raw pointer (8 inline bytes, no refcount traffic), which is
-// safe because every simulated message completes — even failed-link sends
-// finish after their stall — so the notification count always reaches n.
-// Under a causal observer the barrier registers as a join, so slack analysis
-// sees which rank's transfer released each ring step.
-class StepBarrier {
- public:
-  StepBarrier(int expected, sim::Simulator::Callback on_all_done)
-      : remaining_(expected), on_all_done_(std::move(on_all_done)) {
-    TPU_CHECK_GT(expected, 0);
-    if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
-      join_ = observer->OnJoinOpen(expected);
-    }
-  }
-
-  void Notify() {
-    if (join_ >= 0) {
-      if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
-        observer->OnJoinNotify(join_);
-      }
-    }
-    if (--remaining_ == 0) {
-      on_all_done_();
-      delete this;
-    }
-  }
-
- private:
-  int remaining_;
-  int join_ = -1;
-  sim::Simulator::Callback on_all_done_;
-};
-
 // One direction of one ring executing reduce-scatter or all-gather over a
 // contiguous payload sub-range. Steps are separated by a per-ring barrier:
 // every rank finishes its step-s transfer before step s+1 starts, which is
@@ -93,6 +59,15 @@ class RingPass : public std::enable_shared_from_this<RingPass> {
       // Nothing to exchange; complete immediately.
       network_->simulator().Schedule(0.0, std::move(on_done_));
       return;
+    }
+    // Every step sends rank -> rank+1 one of the same n chunks, so each
+    // rank's route and each chunk's extent are resolved once per pass.
+    routes_.reserve(n);
+    chunks_.reserve(n);
+    for (int rank = 0; rank < n; ++rank) {
+      routes_.push_back(&network_->RouteFor(order_[rank],
+                                            order_[(rank + 1) % n]));
+      chunks_.push_back(ChunkOf(range_, n, rank));
     }
     RunStep(0);
   }
@@ -123,10 +98,12 @@ class RingPass : public std::enable_shared_from_this<RingPass> {
       }
     });
 
+    // SendChunkIndex(rank, step) advances by one (mod n) per rank.
+    int chunk_index = SendChunkIndex(0, step);
     for (int rank = 0; rank < n(); ++rank) {
-      const int next = (rank + 1) % n();
-      const int chunk_index = SendChunkIndex(rank, step);
-      const Range chunk = ChunkOf(range_, n(), chunk_index);
+      const net::Network::CachedRoute& route = *routes_[rank];
+      const Range chunk = chunks_[chunk_index];
+      if (++chunk_index == n()) chunk_index = 0;
       const Bytes wire_bytes = chunk.size() * options_.wire_bytes_per_elem();
 
       // Time-only rings (no data pointers) complete with a bare barrier
@@ -135,8 +112,8 @@ class RingPass : public std::enable_shared_from_this<RingPass> {
       // step's incoming data must not contaminate what we forward within the
       // same step) into a pooled buffer the callback owns.
       if (data_.empty() || chunk.size() == 0) {
-        network_->Send(order_[rank], order_[next], wire_bytes,
-                       [barrier] { barrier->Notify(); });
+        network_->SendAlong(route, wire_bytes,
+                            [barrier] { barrier->Notify(); });
         continue;
       }
       PayloadPool::Handle payload = PayloadPool::ThisThread().Snapshot(
@@ -147,29 +124,32 @@ class RingPass : public std::enable_shared_from_this<RingPass> {
           p[i] = QuantizeToBFloat16(p[i]);
         }
       }
-      float* const out = data_[next] + chunk.begin;
+      float* const out = data_[(rank + 1) % n()] + chunk.begin;
       if (kind_ == Kind::kReduceScatter) {
-        network_->Send(order_[rank], order_[next], wire_bytes,
-                       [barrier, payload = std::move(payload), out] {
-                         const float* p = payload.data();
-                         for (std::size_t i = 0; i < payload.size(); ++i) {
-                           out[i] += p[i];
-                         }
-                         barrier->Notify();
-                       });
+        network_->SendAlong(
+            route, wire_bytes, [barrier, payload = std::move(payload), out] {
+              const float* p = payload.data();
+              for (std::size_t i = 0; i < payload.size(); ++i) {
+                out[i] += p[i];
+              }
+              barrier->Notify();
+            });
       } else {
-        network_->Send(order_[rank], order_[next], wire_bytes,
-                       [barrier, payload = std::move(payload), out] {
-                         std::copy(payload.data(),
-                                   payload.data() + payload.size(), out);
-                         barrier->Notify();
-                       });
+        network_->SendAlong(
+            route, wire_bytes, [barrier, payload = std::move(payload), out] {
+              std::copy(payload.data(), payload.data() + payload.size(), out);
+              barrier->Notify();
+            });
       }
     }
   }
 
   net::Network* network_;
   std::vector<topo::ChipId> order_;
+  // Resolved in Start: routes_[rank] is order_[rank] -> its successor, and
+  // chunks_[i] is ChunkOf(range_, n, i).
+  std::vector<const net::Network::CachedRoute*> routes_;
+  std::vector<Range> chunks_;
   std::vector<float*> data_;
   Range range_;
   Kind kind_;

@@ -43,104 +43,90 @@ Network::Network(const topo::MeshTopology* topology,
     : topology_(topology), config_(config), simulator_(simulator) {
   TPU_CHECK(topology != nullptr);
   TPU_CHECK(simulator != nullptr);
-  link_resources_.reserve(topology_->links().size());
-  for (std::size_t i = 0; i < topology_->links().size(); ++i) {
-    link_resources_.emplace_back(simulator_);
-  }
-  degradation_.assign(topology_->links().size(), 1.0);
-  failed_.assign(topology_->links().size(), 0);
-  route_cache_.resize(topology_->num_chips());
+  links_.resize(topology_->links().size());
+  route_index_.resize(topology_->num_chips());
 }
 
 const Network::CachedRoute& Network::RouteFor(topo::ChipId from,
                                               topo::ChipId to) const {
-  std::vector<std::pair<topo::ChipId, CachedRoute>>& routes =
-      route_cache_[from];
-  for (const auto& [dst, route] : routes) {
-    if (dst == to) return route;
+  std::vector<std::pair<topo::ChipId, std::uint32_t>>& index =
+      route_index_[from];
+  for (const auto& [dst, id] : index) {
+    if (dst == to) return routes_[id];
   }
 
-  const std::vector<topo::LinkId> links = topology_->RouteLinks(from, to);
-  TPU_CHECK(!links.empty());
-  CachedRoute route;
-  route.hops.reserve(links.size());
-  for (const topo::LinkId id : links) {
+  CachedRoute& route = routes_.emplace_back();
+  route.from = from;
+  route.to = to;
+  topology_->ForEachRouteLink(from, to, [&](topo::LinkId id) {
     const topo::Link& link = topology_->link(id);
     const LinkParams& params = config_.ParamsFor(link.type);
-    route.hops.push_back({id, link.type, params.latency, params.bandwidth});
-  }
-  routes.emplace_back(to, std::move(route));
-  return routes.back().second;
+    route.hops.push_back(
+        {id, link.type, PodOf(link.from), params.latency, params.bandwidth});
+  });
+  TPU_CHECK(from == to || !route.hops.empty());
+  index.emplace_back(to, static_cast<std::uint32_t>(routes_.size() - 1));
+  return route;
 }
 
-void Network::Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
-                   sim::Simulator::Callback on_done) {
+SimTime Network::Transmit(const CachedRoute& route, Bytes bytes) {
   TPU_CHECK_GE(bytes, 0);
   ++traffic_.messages;
   trace::TraceRecorder* recorder = trace::CurrentTrace();
   trace::MetricsRegistry* metrics = trace::CurrentMetrics();
   sim::EventObserver* observer = sim::CurrentEventObserver();
   if (recorder != nullptr) EnsureTraceState(recorder);
-  if (from == to) {
-    const std::uint64_t done_seq =
-        simulator_->Schedule(config_.message_overhead, std::move(on_done));
-    if (observer != nullptr) {
-      sim::MessageRecord record;
-      record.from = from;
-      record.to = to;
-      record.bytes = bytes;
-      record.overhead = config_.message_overhead;
-      observer->OnMessage(done_seq, std::move(record));
-    }
-    return;
+  // Bound only once a hop records, so a self-send leaves no empty
+  // histogram behind.
+  if (metrics != nullptr && !route.hops.empty()) EnsureMetricState(metrics);
+  if (observer != nullptr) {
+    message_record_ = sim::MessageRecord{};
+    message_record_.from = route.from;
+    message_record_.to = route.to;
+    message_record_.bytes = bytes;
+    message_record_.overhead = config_.message_overhead;
+    message_record_.hops.reserve(route.hops.size());
   }
+  // Every hop of one message carries the same span label.
+  const std::string label = recorder != nullptr ? BytesLabel(bytes)
+                                                : std::string();
 
   // Store-and-forward per hop at message granularity: at each hop the message
   // waits for the link to be free, occupies it for bytes/bandwidth, and then
   // pays the propagation latency. We precompute the full hop schedule now —
   // FIFO ordering per link is preserved because reservations are made in
   // Send-call order (the simulator is single-threaded). The hop parameters
-  // come from the route cache; only live link state is read per message.
-  const CachedRoute& route = RouteFor(from, to);
-  sim::MessageRecord record;
-  std::uint64_t done_seq = 0;
-  if (observer != nullptr) {
-    record.from = from;
-    record.to = to;
-    record.bytes = bytes;
-    record.overhead = config_.message_overhead;
-    record.hops.reserve(route.hops.size());
-  }
-  SimTime head = simulator_->now() + config_.message_overhead;
-  for (std::size_t i = 0; i < route.hops.size(); ++i) {
-    const CachedHop& hop = route.hops[i];
+  // come from the route; only live link state is read per message.
+  const SimTime now = simulator_->now();
+  SimTime head = now + config_.message_overhead;
+  for (const CachedHop& hop : route.hops) {
+    LinkState& link = links_[hop.link];
     const SimTime healthy_serialize =
         static_cast<double>(bytes) / hop.bandwidth;
-    SimTime serialize = healthy_serialize * degradation_[hop.link];
+    SimTime serialize = healthy_serialize * link.degradation;
     // A failed link stalls the message: it eventually "arrives" (so the event
     // queue drains and simulations terminate), but far past any deadline a
     // health monitor would set.
-    if (failed_[hop.link] != 0) serialize += kFailedLinkStall;
+    if (link.failed != 0) serialize += kFailedLinkStall;
 
-    sim::FifoResource& resource = link_resources_[hop.link];
-    const SimTime start = resource.ReserveFrom(head, serialize);
-    const bool last_hop = i + 1 == route.hops.size();
-    if (last_hop) {
-      // The completion callback fires when the message tail has arrived.
-      done_seq = simulator_->ScheduleAt(start + serialize + hop.latency,
-                                        std::move(on_done));
-    }
+    // FIFO reservation: no earlier than the link frees up or the head of
+    // the message arrives.
+    TPU_CHECK_GE(serialize, 0.0);
+    const SimTime start = std::max({link.free_at, head, now});
+    link.free_at = start + serialize;
+    link.busy_time += serialize;
+
     if (observer != nullptr) {
       sim::MessageHopRecord hop_record;
       hop_record.link = hop.link;
-      hop_record.pod = PodOf(topology_->link(hop.link).from);
+      hop_record.pod = hop.pod;
       hop_record.type_name = LinkTypeName(hop.type);
       hop_record.queue = start - head;
       hop_record.serialize = serialize;
       hop_record.healthy_serialize = healthy_serialize;
       hop_record.latency = hop.latency;
       hop_record.start = start;
-      record.hops.push_back(hop_record);
+      message_record_.hops.push_back(hop_record);
     }
 
     if (recorder != nullptr) {
@@ -148,23 +134,22 @@ void Network::Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
       // earliest start (`head`) and its actual start is FIFO queueing.
       const trace::TraceRecorder::TrackId track =
           LinkTrack(recorder, hop.link);
-      recorder->Complete(track, BytesLabel(bytes), start, start + serialize);
-      if (failed_[hop.link] != 0) {
+      recorder->Complete(track, label, start, start + serialize);
+      if (link.failed != 0) {
         recorder->Instant(track, "failed-link stall", start);
       }
-      const int pod = PodOf(topology_->link(hop.link).from);
-      recorder->CounterDelta(pod_busy_links_[pod], start, 1.0);
-      recorder->CounterDelta(pod_busy_links_[pod], start + serialize, -1.0);
-      recorder->CounterDelta(pod_bytes_in_flight_[pod], start,
+      recorder->CounterDelta(pod_busy_links_[hop.pod], start, 1.0);
+      recorder->CounterDelta(pod_busy_links_[hop.pod], start + serialize,
+                             -1.0);
+      recorder->CounterDelta(pod_bytes_in_flight_[hop.pod], start,
                              static_cast<double>(bytes));
-      recorder->CounterDelta(pod_bytes_in_flight_[pod],
+      recorder->CounterDelta(pod_bytes_in_flight_[hop.pod],
                              start + serialize + hop.latency,
                              static_cast<double>(bytes) * -1.0);
     }
     if (metrics != nullptr) {
-      metrics->Histogram("net.link_queue_delay_us")
-          .Record(ToMicros(start - head));
-      metrics->Histogram("net.hop_serialize_us").Record(ToMicros(serialize));
+      queue_delay_us_->Record(ToMicros(start - head));
+      hop_serialize_us_->Record(ToMicros(serialize));
     }
     head = start + serialize + hop.latency;
 
@@ -183,11 +168,7 @@ void Network::Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
         break;
     }
   }
-  if (observer != nullptr) {
-    // The completion event carries the message's provenance: which links it
-    // crossed, and where each hop's time went (queue/serialize/latency).
-    observer->OnMessage(done_seq, std::move(record));
-  }
+  return head;
 }
 
 int Network::PodOf(topo::ChipId chip) const {
@@ -209,6 +190,16 @@ void Network::EnsureTraceState(trace::TraceRecorder* recorder) {
     pod_bytes_in_flight_[pod] = recorder->Counter(anchor, "bytes_in_flight");
     pod_busy_links_[pod] = recorder->Counter(anchor, "busy_links");
   }
+}
+
+void Network::EnsureMetricState(trace::MetricsRegistry* metrics) {
+  if (metrics_registry_ == metrics && metrics_epoch_ == metrics->epoch()) {
+    return;
+  }
+  metrics_registry_ = metrics;
+  metrics_epoch_ = metrics->epoch();
+  queue_delay_us_ = &metrics->Histogram("net.link_queue_delay_us");
+  hop_serialize_us_ = &metrics->Histogram("net.hop_serialize_us");
 }
 
 trace::TraceRecorder::TrackId Network::LinkTrack(
@@ -241,27 +232,31 @@ void Network::ExportMetrics(trace::MetricsRegistry& metrics) const {
 
 SimTime Network::EstimateArrival(topo::ChipId from, topo::ChipId to,
                                  Bytes bytes) const {
-  if (from == to) return simulator_->now() + config_.message_overhead;
   SimTime head = simulator_->now() + config_.message_overhead;
   for (const CachedHop& hop : RouteFor(from, to).hops) {
     const SimTime serialize = static_cast<double>(bytes) / hop.bandwidth;
-    const SimTime start = std::max(head, link_resources_[hop.link].free_at());
+    const SimTime start = std::max(head, links_[hop.link].free_at);
     head = start + serialize + hop.latency;
   }
   return head;
 }
 
-void Network::DegradeLink(topo::LinkId link, double factor) {
+void Network::CheckLink(topo::LinkId link) const {
   TPU_CHECK_GE(link, 0);
-  TPU_CHECK_LT(link, static_cast<topo::LinkId>(degradation_.size()));
+  TPU_CHECK_LT(link, static_cast<topo::LinkId>(links_.size()));
+}
+
+void Network::DegradeLink(topo::LinkId link, double factor) {
+  CheckLink(link);
   TPU_CHECK_GE(factor, 1.0) << "a degradation factor below 1 would speed the "
                                "link up; use ReleaseDegradedLink to heal";
   degrade_sources_.emplace_back(link, factor);
-  if (factor > degradation_[link]) degradation_[link] = factor;
+  LinkState& state = links_[link];
+  if (factor > state.degradation) state.degradation = factor;
   if (trace::TraceRecorder* recorder = trace::CurrentTrace()) {
     EnsureTraceState(recorder);
     char label[48];
-    std::snprintf(label, sizeof(label), "degraded x%.1f", degradation_[link]);
+    std::snprintf(label, sizeof(label), "degraded x%.1f", state.degradation);
     recorder->Instant(LinkTrack(recorder, link), label, simulator_->now());
   }
 }
@@ -271,8 +266,8 @@ void Network::RefreshDegradation(topo::LinkId link) {
   for (const auto& [source_link, source_factor] : degrade_sources_) {
     if (source_link == link && source_factor > factor) factor = source_factor;
   }
-  degradation_[link] = factor;
-  if (factor == 1.0 && failed_[link] == 0) {
+  links_[link].degradation = factor;
+  if (factor == 1.0 && links_[link].failed == 0) {
     if (trace::TraceRecorder* recorder = trace::CurrentTrace()) {
       EnsureTraceState(recorder);
       recorder->Instant(LinkTrack(recorder, link), "link restored",
@@ -282,8 +277,7 @@ void Network::RefreshDegradation(topo::LinkId link) {
 }
 
 void Network::ReleaseDegradedLink(topo::LinkId link, double factor) {
-  TPU_CHECK_GE(link, 0);
-  TPU_CHECK_LT(link, static_cast<topo::LinkId>(degradation_.size()));
+  CheckLink(link);
   for (std::size_t i = 0; i < degrade_sources_.size(); ++i) {
     if (degrade_sources_[i].first == link &&
         degrade_sources_[i].second == factor) {
@@ -298,10 +292,9 @@ void Network::ReleaseDegradedLink(topo::LinkId link, double factor) {
 }
 
 void Network::RestoreLink(topo::LinkId link) {
-  TPU_CHECK_GE(link, 0);
-  TPU_CHECK_LT(link, static_cast<topo::LinkId>(degradation_.size()));
-  degradation_[link] = 1.0;
-  failed_[link] = 0;
+  CheckLink(link);
+  links_[link].degradation = 1.0;
+  links_[link].failed = 0;
   std::erase_if(degrade_sources_,
                 [link](const auto& source) { return source.first == link; });
   if (trace::TraceRecorder* recorder = trace::CurrentTrace()) {
@@ -312,9 +305,8 @@ void Network::RestoreLink(topo::LinkId link) {
 }
 
 void Network::FailLink(topo::LinkId link) {
-  TPU_CHECK_GE(link, 0);
-  TPU_CHECK_LT(link, static_cast<topo::LinkId>(failed_.size()));
-  ++failed_[link];
+  CheckLink(link);
+  ++links_[link].failed;
   if (trace::TraceRecorder* recorder = trace::CurrentTrace()) {
     EnsureTraceState(recorder);
     recorder->Instant(LinkTrack(recorder, link), "link failed",
@@ -323,10 +315,10 @@ void Network::FailLink(topo::LinkId link) {
 }
 
 void Network::ReleaseFailedLink(topo::LinkId link) {
-  TPU_CHECK_GE(link, 0);
-  TPU_CHECK_LT(link, static_cast<topo::LinkId>(failed_.size()));
-  if (failed_[link] == 0) return;  // force-restored meanwhile: no-op
-  if (--failed_[link] == 0 && degradation_[link] == 1.0) {
+  CheckLink(link);
+  LinkState& state = links_[link];
+  if (state.failed == 0) return;  // force-restored meanwhile: no-op
+  if (--state.failed == 0 && state.degradation == 1.0) {
     if (trace::TraceRecorder* recorder = trace::CurrentTrace()) {
       EnsureTraceState(recorder);
       recorder->Instant(LinkTrack(recorder, link), "link restored",
@@ -336,20 +328,18 @@ void Network::ReleaseFailedLink(topo::LinkId link) {
 }
 
 bool Network::LinkFailed(topo::LinkId link) const {
-  TPU_CHECK_GE(link, 0);
-  TPU_CHECK_LT(link, static_cast<topo::LinkId>(failed_.size()));
-  return failed_[link] != 0;
+  CheckLink(link);
+  return links_[link].failed != 0;
 }
 
 double Network::LinkDegradation(topo::LinkId link) const {
-  TPU_CHECK_GE(link, 0);
-  TPU_CHECK_LT(link, static_cast<topo::LinkId>(degradation_.size()));
-  return degradation_[link];
+  CheckLink(link);
+  return links_[link].degradation;
 }
 
 int Network::failed_link_count() const {
   int count = 0;
-  for (const int depth : failed_) count += depth > 0 ? 1 : 0;
+  for (const LinkState& state : links_) count += state.failed > 0 ? 1 : 0;
   return count;
 }
 
@@ -358,9 +348,9 @@ double Network::MeanActiveLinkUtilization() const {
   if (elapsed <= 0.0) return 0.0;
   double total = 0;
   int active = 0;
-  for (const auto& resource : link_resources_) {
-    if (resource.busy_time() > 0) {
-      total += resource.busy_time() / elapsed;
+  for (const LinkState& state : links_) {
+    if (state.busy_time > 0) {
+      total += state.busy_time / elapsed;
       ++active;
     }
   }
@@ -371,31 +361,29 @@ double Network::MaxLinkUtilization() const {
   const SimTime elapsed = simulator_->now();
   if (elapsed <= 0.0) return 0.0;
   double max_busy = 0.0;
-  for (const auto& resource : link_resources_) {
-    max_busy = std::max(max_busy, resource.busy_time());
+  for (const LinkState& state : links_) {
+    max_busy = std::max(max_busy, state.busy_time);
   }
   return max_busy / elapsed;
 }
 
 double Network::LinkUtilization(topo::LinkId link) const {
-  TPU_CHECK_GE(link, 0);
-  TPU_CHECK_LT(link, static_cast<topo::LinkId>(link_resources_.size()));
+  CheckLink(link);
   const SimTime elapsed = simulator_->now();
   if (elapsed <= 0.0) return 0.0;
-  return link_resources_[link].busy_time() / elapsed;
+  return links_[link].busy_time / elapsed;
 }
 
 SimTime Network::LinkBacklogSeconds(topo::LinkId link) const {
-  TPU_CHECK_GE(link, 0);
-  TPU_CHECK_LT(link, static_cast<topo::LinkId>(link_resources_.size()));
-  return std::max(0.0, link_resources_[link].free_at() - simulator_->now());
+  CheckLink(link);
+  return std::max(0.0, links_[link].free_at - simulator_->now());
 }
 
 SimTime Network::MaxLinkBacklogSeconds() const {
   const SimTime now = simulator_->now();
   SimTime max_backlog = 0.0;
-  for (const auto& resource : link_resources_) {
-    max_backlog = std::max(max_backlog, resource.free_at() - now);
+  for (const LinkState& state : links_) {
+    max_backlog = std::max(max_backlog, state.free_at - now);
   }
   return max_backlog;
 }

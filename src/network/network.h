@@ -11,12 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <deque>
 #include <utility>
 #include <vector>
 
 #include "common/units.h"
+#include "sim/event_observer.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 #include "trace/metrics.h"
@@ -68,6 +68,25 @@ struct TrafficStats {
 
 class Network {
  public:
+  // One hop of a resolved route: everything a send needs that is invariant
+  // across messages. Live state (degradation, failure, FIFO occupancy) is
+  // read fresh per message, so resolving once never changes behaviour. The
+  // bandwidth is stored as-is (not as a reciprocal) so the serialization
+  // arithmetic stays bit-identical.
+  struct CachedHop {
+    topo::LinkId link;
+    topo::LinkType type;
+    int pod;  // pod of the link's source chip
+    SimTime latency;
+    Bandwidth bandwidth;
+  };
+  // The dimension-ordered route between two chips; no hops for a self-send.
+  struct CachedRoute {
+    topo::ChipId from;
+    topo::ChipId to;
+    std::vector<CachedHop> hops;
+  };
+
   Network(const topo::MeshTopology* topology, const NetworkConfig& config,
           sim::Simulator* simulator);
 
@@ -76,11 +95,34 @@ class Network {
   const NetworkConfig& config() const { return config_; }
 
   // Sends `bytes` from `from` to `to` along the dimension-ordered route.
-  // `on_done` fires at the simulated time the message fully arrives.
-  // Zero-byte messages still pay per-message overhead and hop latency
-  // (they model control/barrier traffic).
-  void Send(topo::ChipId from, topo::ChipId to, Bytes bytes,
-            sim::Simulator::Callback on_done);
+  // `on_done` (any void() callable) fires at the simulated time the message
+  // fully arrives; it is built once, in its event slot. Zero-byte messages
+  // still pay per-message overhead and hop latency (they model
+  // control/barrier traffic).
+  template <typename F>
+  void Send(topo::ChipId from, topo::ChipId to, Bytes bytes, F&& on_done) {
+    SendAlong(RouteFor(from, to), bytes, std::forward<F>(on_done));
+  }
+
+  // Send over a route already resolved with RouteFor: senders that message
+  // the same peer repeatedly (a ring pass) skip the per-message lookup.
+  template <typename F>
+  void SendAlong(const CachedRoute& route, Bytes bytes, F&& on_done) {
+    const SimTime arrival = Transmit(route, bytes);
+    const std::uint64_t seq =
+        simulator_->ScheduleAt(arrival, std::forward<F>(on_done));
+    if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
+      // The completion event carries the message's provenance: which links
+      // it crossed, and where each hop's time went.
+      observer->OnMessage(seq, std::move(message_record_));
+    }
+  }
+
+  // The route from `from` to `to`, resolved on first use. Routes depend
+  // only on the immutable topology and the per-construction config, so the
+  // reference stays valid (and the route unchanged) for the network's
+  // lifetime.
+  const CachedRoute& RouteFor(topo::ChipId from, topo::ChipId to) const;
 
   // Pure function of current link occupancy: the time Send would complete if
   // issued now *on healthy links*. Deliberately ignores injected degradation
@@ -157,6 +199,11 @@ class Network {
   void ExportMetrics(trace::MetricsRegistry& metrics) const;
 
  private:
+  // Everything a message does except schedule its completion: reserves each
+  // hop's link, counts traffic, feeds the recorder and metrics, and (under
+  // an observer) fills message_record_. Returns the arrival time.
+  SimTime Transmit(const CachedRoute& route, Bytes bytes);
+
   // Trace state is cached per recorder: when a different recorder is
   // installed (or tracing turns off and on), tracks are re-registered
   // lazily. Tracing only observes — the simulated schedule is identical
@@ -164,55 +211,60 @@ class Network {
   void EnsureTraceState(trace::TraceRecorder* recorder);
   trace::TraceRecorder::TrackId LinkTrack(trace::TraceRecorder* recorder,
                                           topo::LinkId link);
+  // Per-hop histogram handles, bound once per installed registry (and
+  // rebound after it is Reset).
+  void EnsureMetricState(trace::MetricsRegistry* metrics);
   int PodOf(topo::ChipId chip) const;
 
-  // One hop of a cached route: everything Send needs that is invariant
-  // across messages. Live state (degradation, failure, FIFO occupancy) is
-  // read fresh per message, so caching never changes behaviour. The
-  // bandwidth is stored as-is (not as a reciprocal) so the serialization
-  // arithmetic stays bit-identical to the uncached path.
-  struct CachedHop {
-    topo::LinkId link;
-    topo::LinkType type;
-    SimTime latency;
-    Bandwidth bandwidth;
-  };
-  struct CachedRoute {
-    std::vector<CachedHop> hops;
-  };
-
-  // Returns the cached hop schedule for (from, to), computing and memoizing
-  // it on first use. Routes depend only on the (immutable) topology and the
-  // per-construction config, so entries are never invalidated.
-  const CachedRoute& RouteFor(topo::ChipId from, topo::ChipId to) const;
-
-  // Recomputes the effective degradation_[link] after a source was added or
+  // Recomputes a link's effective degradation after a source was added or
   // removed, and emits the restore trace instant when the link heals.
   void RefreshDegradation(topo::LinkId link);
+
+  // Everything Network tracks about one directed link, in one record so a
+  // hop reads one cache line: its FIFO occupancy (the arithmetic of
+  // sim::FifoResource::ReserveFrom), the *effective* serialize multiplier
+  // (max over active sources) and the depth-counted failure state.
+  struct LinkState {
+    SimTime free_at = 0.0;    // first simulated time the link is idle
+    SimTime busy_time = 0.0;  // total simulated time spent serializing
+    double degradation = 1.0;
+    int failed = 0;
+  };
+
+  // Aborts unless `link` names a link of the topology.
+  void CheckLink(topo::LinkId link) const;
 
   const topo::MeshTopology* topology_;
   NetworkConfig config_;
   sim::Simulator* simulator_;
-  std::vector<sim::FifoResource> link_resources_;  // indexed by LinkId
-  // Hot-path state, one branch/multiply per hop: the *effective* serialize
-  // multiplier (max over active sources) and the failure depth.
-  std::vector<double> degradation_;
-  std::vector<int> failed_;  // depth-counted failure state
+  std::vector<LinkState> links_;  // indexed by LinkId
   // Active degradation sources as (link, factor) pairs. Faults are rare and
   // short-lived, so a flat list with linear scans beats per-link storage.
   std::vector<std::pair<topo::LinkId, double>> degrade_sources_;
   TrafficStats traffic_;
+  // Every route resolved so far; a deque never moves its elements, so
+  // RouteFor's references stay valid as it grows. Mutable because
+  // EstimateArrival is const but may warm the cache.
+  mutable std::deque<CachedRoute> routes_;
   // Indexed by source chip; each entry is the handful of (destination,
-  // hop schedule) pairs that source has ever messaged — collectives only talk
-  // to ring/recursive-halving neighbours, so a linear scan beats hashing.
-  // Mutable because EstimateArrival is const but may warm the cache.
-  mutable std::vector<std::vector<std::pair<topo::ChipId, CachedRoute>>>
-      route_cache_;
+  // index into routes_) pairs that source has ever messaged — collectives
+  // only talk to ring/recursive-halving neighbours, so a linear scan beats
+  // hashing.
+  mutable std::vector<std::vector<std::pair<topo::ChipId, std::uint32_t>>>
+      route_index_;
+  // The observed message being sent; handed to the observer once its
+  // completion event is scheduled.
+  sim::MessageRecord message_record_;
 
   trace::TraceRecorder* trace_recorder_ = nullptr;  // cache key, not owned
   std::vector<trace::TraceRecorder::TrackId> link_tracks_;
   std::vector<trace::TraceRecorder::CounterId> pod_bytes_in_flight_;
   std::vector<trace::TraceRecorder::CounterId> pod_busy_links_;
+
+  trace::MetricsRegistry* metrics_registry_ = nullptr;  // cache key
+  std::uint64_t metrics_epoch_ = 0;
+  trace::MetricHistogram* queue_delay_us_ = nullptr;
+  trace::MetricHistogram* hop_serialize_us_ = nullptr;
 };
 
 }  // namespace tpu::net

@@ -31,12 +31,12 @@ class HopCost {
   // (scaled by degradation) + the stall charged on failed links.
   SimTime Seconds(topo::ChipId from, topo::ChipId to, Bytes bytes) const {
     SimTime t = config_.message_overhead;
-    for (const topo::LinkId id : topo_.RouteLinks(from, to)) {
+    topo_.ForEachRouteLink(from, to, [&](topo::LinkId id) {
       const net::LinkParams& params =
           config_.ParamsFor(topo_.link(id).type);
       t += params.latency + bytes / params.bandwidth * degrade_[id];
       if (failed_[id]) t += net::Network::kFailedLinkStall;
-    }
+    });
     return t;
   }
 

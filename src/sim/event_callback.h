@@ -10,6 +10,8 @@
 //
 // EventCallback is move-only (events are scheduled once and run once), which
 // also lets callbacks own move-only resources such as pooled payload buffers.
+// The simulator builds each callback with Emplace directly in its queue slot
+// and runs it there, so an event's callable is never relocated.
 // Pool blocks are freed back to the pool that allocated them; a callback must
 // be constructed, run, and destroyed on the thread whose pool it drew from —
 // true by construction here, since each Simulator (and everything it
@@ -144,18 +146,36 @@ class EventCallback {
                 !std::is_same_v<std::decay_t<F>, EventCallback> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventCallback(F&& f) {  // NOLINT: implicit, like std::function
+    Emplace(std::forward<F>(f));
+  }
+
+  // Replaces whatever this holds with `f`, built directly in this
+  // callback's storage (inline, or one pooled block), so a callable
+  // forwarded here is constructed once and never relocated. An
+  // EventCallback argument is moved in: exactly one relocation.
+  template <typename F>
+  void Emplace(F&& f) {
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineCapacity &&
-                  alignof(Fn) <= kInlineAlign &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
-      ops_ = &InlineOps<Fn>::ops;
+    if constexpr (std::is_same_v<Fn, EventCallback>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "EventCallback is move-only");
+      *this = std::move(f);
     } else {
-      void* mem = CallbackPool::ThisThread().Allocate(sizeof(Fn));
-      Fn* obj = ::new (mem) Fn(std::forward<F>(f));
-      void* p = obj;
-      std::memcpy(buffer_, &p, sizeof(p));
-      ops_ = &PooledOps<Fn>::ops;
+      static_assert(std::is_invocable_r_v<void, Fn&>,
+                    "an event callback takes no arguments");
+      Reset();
+      if constexpr (sizeof(Fn) <= kInlineCapacity &&
+                    alignof(Fn) <= kInlineAlign &&
+                    std::is_nothrow_move_constructible_v<Fn>) {
+        ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
+        ops_ = &InlineOps<Fn>::ops;
+      } else {
+        void* mem = CallbackPool::ThisThread().Allocate(sizeof(Fn));
+        Fn* obj = ::new (mem) Fn(std::forward<F>(f));
+        void* p = obj;
+        std::memcpy(buffer_, &p, sizeof(p));
+        ops_ = &PooledOps<Fn>::ops;
+      }
     }
   }
 

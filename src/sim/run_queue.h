@@ -4,11 +4,17 @@
 // event stream arrives in waves that finish at the same simulated instant: a
 // 4096-chip step schedules millions of events at only thousands of distinct
 // timestamps. The queue therefore orders timestamps, not events. Events with
-// exactly the same `when` form one FIFO run, linked through the slab that
-// holds them; a binary min-heap orders the distinct pending timestamps; and
+// exactly the same `when` form one FIFO run, linked through the slots that
+// hold them; a binary min-heap orders the distinct pending timestamps; and
 // an open-addressing map, fronted by a small most-recently-used cache, finds
 // a timestamp's run on Push. Per-event work is O(1) — append on push, unlink
 // on pop — and the heap is touched once per distinct timestamp.
+//
+// Events live in fixed-size chunks that never move. Push hands the caller
+// the new event's slot to build in place; Pop unlinks the next event but
+// keeps its slot reserved until Release, so the event can run in its slot
+// while it pushes more events. No event is ever copied or moved by the
+// queue.
 //
 // Exactness is the contract: no two pending runs share a `when` (a run
 // leaves the map when it drains, and -0.0/+0.0 — equal, but bitwise
@@ -22,7 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <utility>
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -30,51 +36,79 @@
 
 namespace tpu::sim {
 
-// Event must expose `SimTime when`; events extract in ascending `when`, and
-// in push order among equal `when`.
+// Event must be default-constructible and expose a `SimTime when`; events
+// extract in ascending `when`, and in push order among equal `when`.
 template <typename Event>
 class RunQueue {
  public:
+  using Slot = std::uint32_t;
+
   bool empty() const { return size_ == 0; }
+  // Pending events; an event popped but not yet released is not counted.
   std::size_t size() const { return size_; }
 
-  void Push(Event&& event) {
-    const std::uint64_t key = KeyOf(event.when);
-    const SimTime when = event.when;
-    const std::uint32_t slot = Store(std::move(event));
+  // Parks a new event at `when`, behind every pending event at that time,
+  // and returns it for the caller to fill in place: `when` is set, the
+  // rest is as Release (or default construction) left it.
+  Event& Push(SimTime when) {
+    const std::uint64_t key = KeyOf(when);
+    const Slot slot = Acquire();
     Run& run = runs_[FindOrAddRun(key, when)];
     if (run.head == kNil) {
       run.head = slot;
     } else {
-      next_[run.tail] = slot;
+      NextOf(run.tail) = slot;
     }
     run.tail = slot;
     ++size_;
+    Event& event = at(slot);
+    event.when = when;
+    return event;
   }
 
   // The next event in extraction order; the queue must not be empty.
   const Event& Top() const {
     TPU_CHECK(!empty()) << "Top on an empty RunQueue";
-    return slab_[runs_[heap_.front().run].head];
+    const Slot slot = runs_[heap_.front().run].head;
+    return chunks_[slot >> kChunkShift]->events[slot & kChunkMask];
   }
 
-  // Removes and returns the next event (moved out, never copied).
-  Event PopTop() {
-    TPU_CHECK(!empty()) << "PopTop on an empty RunQueue";
+  // Unlinks the next event and returns its slot. The event stays where it
+  // is, and the slot stays reserved, until Release(slot).
+  Slot Pop() {
+    TPU_CHECK(!empty()) << "Pop on an empty RunQueue";
     const std::uint32_t id = heap_.front().run;
     Run& run = runs_[id];
-    const std::uint32_t slot = run.head;
-    run.head = next_[slot];
+    const Slot slot = run.head;
+    run.head = NextOf(slot);
     if (run.head == kNil) Retire(id);
     --size_;
-    Event event = std::move(slab_[slot]);
+    return slot;
+  }
+
+  Event& at(Slot slot) {
+    return chunks_[slot >> kChunkShift]->events[slot & kChunkMask];
+  }
+
+  // Resets a popped event to its default state (destroying what it held)
+  // and returns its slot for reuse.
+  void Release(Slot slot) {
+    at(slot) = Event{};
     free_slots_.push_back(slot);
-    return event;
   }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
   static constexpr std::size_t kCacheSize = 4;
+  static constexpr unsigned kChunkShift = 10;
+  static constexpr Slot kChunkSize = Slot{1} << kChunkShift;
+  static constexpr Slot kChunkMask = kChunkSize - 1;
+
+  // A fixed block of slots; once allocated it never moves or shrinks.
+  struct Chunk {
+    Event events[kChunkSize];
+    std::uint32_t next[kChunkSize];  // per slot: next event in its run
+  };
 
   // The pending events at one timestamp, oldest first.
   struct Run {
@@ -109,17 +143,23 @@ class RunQueue {
     return bits;
   }
 
-  std::uint32_t Store(Event&& event) {
+  std::uint32_t& NextOf(Slot slot) {
+    return chunks_[slot >> kChunkShift]->next[slot & kChunkMask];
+  }
+
+  Slot Acquire() {
+    Slot slot;
     if (!free_slots_.empty()) {
-      const std::uint32_t slot = free_slots_.back();
+      slot = free_slots_.back();
       free_slots_.pop_back();
-      slab_[slot] = std::move(event);
-      next_[slot] = kNil;
-      return slot;
+    } else {
+      slot = slots_used_++;
+      if ((slot & kChunkMask) == 0) {
+        chunks_.push_back(std::make_unique<Chunk>());
+      }
     }
-    slab_.push_back(std::move(event));
-    next_.push_back(kNil);
-    return static_cast<std::uint32_t>(slab_.size() - 1);
+    NextOf(slot) = kNil;
+    return slot;
   }
 
   std::uint32_t FindOrAddRun(std::uint64_t key, SimTime when) {
@@ -202,9 +242,9 @@ class RunQueue {
   }
 
   std::size_t size_ = 0;
-  std::vector<Event> slab_;                // parked events, indexed by slot
-  std::vector<std::uint32_t> next_;        // per slot: next event in its run
-  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;  // slot s: chunk s >> shift
+  Slot slots_used_ = 0;                          // slots ever handed out
+  std::vector<Slot> free_slots_;
   std::vector<Run> runs_;
   std::vector<std::uint32_t> free_runs_;
   std::vector<HeapEntry> heap_;            // one entry per pending run

@@ -8,7 +8,8 @@
 // The hot path is allocation-free: callbacks live inline in the event (or in
 // recycled pool blocks — see event_callback.h) and pending events sit in a
 // timestamp-run queue (run_queue.h) that extracts in exact (when, seq)
-// order. A Simulator and everything it schedules is confined to one thread;
+// order. Each callback is built once, in its queue slot, and runs there.
+// A Simulator and everything it schedules is confined to one thread;
 // independent Simulators on different threads do not share state, which is
 // what lets sweeps and planner searches run points in parallel with
 // bit-identical results.
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -34,24 +36,30 @@ class Simulator {
 
   SimTime now() const { return now_; }
 
-  // Schedules `cb` to run at now() + delay. delay must be >= 0. Returns the
-  // event's seq — its identity for causal observers (EventObserver).
-  std::uint64_t Schedule(SimTime delay, Callback cb) {
+  // Schedules `f` (any void() callable, or a Callback) to run at
+  // now() + delay. delay must be >= 0. Returns the event's seq — its
+  // identity for causal observers (EventObserver).
+  template <typename F>
+  std::uint64_t Schedule(SimTime delay, F&& f) {
     TPU_CHECK_GE(delay, 0.0);
-    return ScheduleAt(now_ + delay, std::move(cb));
+    return ScheduleAt(now_ + delay, std::forward<F>(f));
   }
 
-  // Schedules `cb` at an absolute simulated time >= now(). Returns the
-  // event's seq.
-  std::uint64_t ScheduleAt(SimTime when, Callback cb) {
+  // Schedules `f` at an absolute simulated time >= now(). Returns the
+  // event's seq. The callable is built directly in the event's queue slot
+  // (a Callback argument is moved in once) and later runs in place.
+  template <typename F>
+  std::uint64_t ScheduleAt(SimTime when, F&& f) {
     TPU_CHECK_GE(when, now_);
-    if (cb.storage() == EventCallback::Storage::kInline) {
+    const std::uint64_t seq = next_seq_++;
+    Event& event = queue_.Push(when);
+    event.seq = seq;
+    event.cb.Emplace(std::forward<F>(f));
+    if (event.cb.storage() == EventCallback::Storage::kInline) {
       ++callbacks_inline_;
     } else {
       ++callbacks_pooled_;
     }
-    const std::uint64_t seq = next_seq_++;
-    queue_.Push(Event{when, seq, std::move(cb)});
     ++events_scheduled_;
     // Pending telemetry events share the queue but not the accounting: the
     // work-event high-water mark must read the same with sampling on or off.
@@ -71,10 +79,13 @@ class Simulator {
   // EventObserver, keeping critical-path DAGs and exported counters
   // bit-identical with sampling on or off. Telemetry callbacks must only
   // observe and (re)schedule further telemetry events, never work events.
-  std::uint64_t ScheduleTelemetryAt(SimTime when, Callback cb) {
+  template <typename F>
+  std::uint64_t ScheduleTelemetryAt(SimTime when, F&& f) {
     TPU_CHECK_GE(when, now_);
     const std::uint64_t seq = next_seq_++;
-    queue_.Push(Event{when, seq, std::move(cb)});
+    Event& event = queue_.Push(when);
+    event.seq = seq;
+    event.cb.Emplace(std::forward<F>(f));
     ++telemetry_events_scheduled_;
     telemetry_seqs_.push_back(seq);  // seqs are monotonic: stays sorted
     return seq;
@@ -149,15 +160,18 @@ class Simulator {
 
  private:
   struct Event {
-    SimTime when;
-    std::uint64_t seq;  // tie-break: equal-time events run in schedule order
+    SimTime when = 0.0;
+    // Tie-break: equal-time events run in schedule order.
+    std::uint64_t seq = 0;
     Callback cb;
   };
 
   void Step() {
-    // PopTop moves the event out before the callback runs, so callbacks are
-    // free to schedule new events (no reference into the queue is held).
-    Event ev = queue_.PopTop();
+    // The event runs in its slot, which stays reserved until the callback
+    // returns: events the callback schedules take other slots, and slots
+    // never move, so `ev` stays valid throughout.
+    const RunQueue<Event>::Slot slot = queue_.Pop();
+    Event& ev = queue_.at(slot);
     TPU_CHECK_GE(ev.when, now_);
     now_ = ev.when;
     // Telemetry events advance the clock to their own timestamp (which never
@@ -168,20 +182,22 @@ class Simulator {
     if (!telemetry_seqs_.empty() && PopTelemetrySeq(ev.seq)) {
       ++telemetry_events_processed_;
       ev.cb();
-      return;
-    }
-    ++events_processed_;
-    if (EventObserver* observer = CurrentEventObserver()) {
-      // Events scheduled by ev.cb() are causally ev's children; current_seq_
-      // only matters (and is only maintained) while an observer is installed,
-      // so the disabled-path cost stays one load and branch.
-      current_seq_ = static_cast<std::int64_t>(ev.seq);
-      observer->OnFire(ev.seq, ev.when);
-      ev.cb();
-      current_seq_ = EventObserver::kNoEvent;
     } else {
-      ev.cb();
+      ++events_processed_;
+      if (EventObserver* observer = CurrentEventObserver()) {
+        // Events scheduled by ev.cb() are causally ev's children;
+        // current_seq_ only matters (and is only maintained) while an
+        // observer is installed, so the disabled-path cost stays one load
+        // and branch.
+        current_seq_ = static_cast<std::int64_t>(ev.seq);
+        observer->OnFire(ev.seq, ev.when);
+        ev.cb();
+        current_seq_ = EventObserver::kNoEvent;
+      } else {
+        ev.cb();
+      }
     }
+    queue_.Release(slot);
   }
 
   // True (and erases the entry) iff `seq` is a pending telemetry event.

@@ -95,56 +95,16 @@ LinkId MeshTopology::LinkBetween(ChipId from, ChipId to) const {
   return -1;
 }
 
-namespace {
-
-// Steps along one dimension of length `size`, possibly via the wrap link,
-// choosing the shorter direction. Returns the coordinate sequence excluding
-// the start, including the destination.
-std::vector<int> StepsAlongDim(int from, int to, int size, bool wrap) {
-  std::vector<int> steps;
-  if (from == to) return steps;
-  int direction;
-  if (!wrap) {
-    direction = to > from ? 1 : -1;
-  } else {
-    const int forward = (to - from + size) % size;
-    const int backward = (from - to + size) % size;
-    direction = forward <= backward ? 1 : -1;
-  }
-  int cur = from;
-  while (cur != to) {
-    cur = (cur + direction + size) % size;
-    steps.push_back(cur);
-  }
-  return steps;
-}
-
-}  // namespace
-
 std::vector<ChipId> MeshTopology::Route(ChipId from, ChipId to) const {
-  const Coord a = CoordOf(from);
-  const Coord b = CoordOf(to);
-  // Sparse routing: a chip only holds routes to its row and column, so a
-  // dimension-ordered route (X, then Y) is exactly what the hardware table
-  // supports: travel within the source row to the target column, then within
-  // the target column.
   std::vector<ChipId> path{from};
-  for (int x : StepsAlongDim(a.x, b.x, size_x(), config_.wrap_x)) {
-    path.push_back(ChipAt({x, a.y}));
-  }
-  for (int y : StepsAlongDim(a.y, b.y, size_y(), config_.wrap_y)) {
-    path.push_back(ChipAt({b.x, y}));
-  }
+  ForEachRouteLink(from, to,
+                   [&](LinkId id) { path.push_back(links_[id].to); });
   return path;
 }
 
 std::vector<LinkId> MeshTopology::RouteLinks(ChipId from, ChipId to) const {
-  const std::vector<ChipId> path = Route(from, to);
   std::vector<LinkId> result;
-  result.reserve(path.size() > 0 ? path.size() - 1 : 0);
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    result.push_back(LinkBetween(path[i], path[i + 1]));
-  }
+  ForEachRouteLink(from, to, [&](LinkId id) { result.push_back(id); });
   return result;
 }
 

@@ -129,6 +129,33 @@ class MeshTopology {
   // The directed links traversed by Route(from, to).
   std::vector<LinkId> RouteLinks(ChipId from, ChipId to) const;
 
+  // Calls fn(LinkId) for each link of RouteLinks(from, to), in order,
+  // without allocating: the closed-form cost model walks millions of routes.
+  template <typename Fn>
+  void ForEachRouteLink(ChipId from, ChipId to, Fn&& fn) const {
+    const Coord a = CoordOf(from);
+    const Coord b = CoordOf(to);
+    // Sparse routing: a chip only holds routes to its row and column, so a
+    // dimension-ordered route (X, then Y) is exactly what the hardware table
+    // supports: travel within the source row to the target column, then
+    // within the target column.
+    ChipId chip = from;
+    const int dx = StepDirection(a.x, b.x, size_x(), config_.wrap_x);
+    for (int x = a.x; x != b.x;) {
+      x = (x + dx + size_x()) % size_x();
+      const ChipId next = ChipAt({x, a.y});
+      fn(LinkBetween(chip, next));
+      chip = next;
+    }
+    const int dy = StepDirection(a.y, b.y, size_y(), config_.wrap_y);
+    for (int y = a.y; y != b.y;) {
+      y = (y + dy + size_y()) % size_y();
+      const ChipId next = ChipAt({b.x, y});
+      fn(LinkBetween(chip, next));
+      chip = next;
+    }
+  }
+
   // Sparse-routing visibility: the chips in the same row or column (the
   // neighbor set the 1024-entry routing table can hold).
   std::vector<ChipId> VisibleChips(ChipId chip) const;
@@ -159,6 +186,15 @@ class MeshTopology {
   std::string ToString() const;
 
  private:
+  // +1 or -1: the direction a route steps along one dimension of length
+  // `size`, taking the wrap shortcut on a torus when it is no longer.
+  static int StepDirection(int from, int to, int size, bool wrap) {
+    if (!wrap) return to > from ? 1 : -1;
+    const int forward = (to - from + size) % size;
+    const int backward = (from - to + size) % size;
+    return forward <= backward ? 1 : -1;
+  }
+
   void BuildLinks();
   LinkId AddLink(ChipId from, ChipId to, LinkType type);
 

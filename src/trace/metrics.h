@@ -90,7 +90,12 @@ class MetricsRegistry {
     counters_.clear();
     gauges_.clear();
     histograms_.clear();
+    ++epoch_;
   }
+  // Counts Resets. A reference returned by Counter/Gauge/Histogram stays
+  // valid until the epoch changes (or the registry dies), so hot paths can
+  // bind a handle once and rebind only when this moves.
+  std::uint64_t epoch() const { return epoch_; }
 
   // Human-readable table: one metric per line, histograms with
   // count/mean/p50/p95/p99/max.
@@ -103,6 +108,7 @@ class MetricsRegistry {
   std::map<std::string, MetricCounter> counters_;
   std::map<std::string, MetricGauge> gauges_;
   std::map<std::string, MetricHistogram> histograms_;
+  std::uint64_t epoch_ = 0;
 };
 
 // Process-global registry; null (default) disables metric collection.

@@ -1,10 +1,9 @@
 #include "trace/trace.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <fstream>
 #include <map>
-#include <sstream>
 
 #include "common/check.h"
 
@@ -27,9 +26,7 @@ std::string TrackKey(const std::string& process, const std::string& thread) {
 // Timestamps are microseconds with fixed precision: formatting is locale-
 // independent and stable, which keeps identical runs byte-identical.
 void AppendMicros(std::string* out, SimTime seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", ToMicros(seconds));
-  *out += buf;
+  AppendFixed3(out, ToMicros(seconds));
 }
 
 void AppendEscaped(std::string* out, const std::string& s) {
@@ -40,6 +37,14 @@ void AppendEscaped(std::string* out, const std::string& s) {
 }
 
 }  // namespace
+
+void AppendFixed3(std::string* out, double value) {
+  // Room for DBL_MAX's 309 integer digits, a sign, the point and 3 decimals.
+  char buf[320];
+  const std::to_chars_result result = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::fixed, 3);
+  out->append(buf, result.ptr);
+}
 
 TraceRecorder* CurrentTrace() { return g_current; }
 void SetCurrentTrace(TraceRecorder* recorder) { g_current = recorder; }
@@ -151,7 +156,7 @@ int TraceRecorder::open_spans(TrackId track) const {
   return open_depth_[track];
 }
 
-void TraceRecorder::WriteJson(std::ostream& out) const {
+std::string TraceRecorder::ToJson() const {
   std::string json;
   json.reserve(128 * (events_.size() + counter_events_.size()) + 4096);
   json += "{\"traceEvents\":[\n";
@@ -230,11 +235,12 @@ void TraceRecorder::WriteJson(std::ostream& out) const {
   }
 
   // Counter series: deltas accumulated into absolute values per counter.
+  std::vector<std::vector<std::size_t>> series(counters_.size());
+  for (std::size_t i = 0; i < counter_events_.size(); ++i) {
+    series[counter_events_[i].counter].push_back(i);
+  }
   for (CounterId id = 0; id < static_cast<CounterId>(counters_.size()); ++id) {
-    std::vector<std::size_t> samples;
-    for (std::size_t i = 0; i < counter_events_.size(); ++i) {
-      if (counter_events_[i].counter == id) samples.push_back(i);
-    }
+    std::vector<std::size_t>& samples = series[id];
     std::stable_sort(samples.begin(), samples.end(),
                      [this](std::size_t a, std::size_t b) {
                        return counter_events_[a].ts < counter_events_[b].ts;
@@ -251,22 +257,16 @@ void TraceRecorder::WriteJson(std::ostream& out) const {
       json += ",\"name\":\"";
       AppendEscaped(&json, counters_[id].name);
       json += "\",\"args\":{\"value\":";
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.3f", value);
-      json += buf;
+      AppendFixed3(&json, value);
       json += "}}";
     }
   }
 
   json += "\n]}\n";
-  out << json;
+  return json;
 }
 
-std::string TraceRecorder::ToJson() const {
-  std::ostringstream out;
-  WriteJson(out);
-  return out.str();
-}
+void TraceRecorder::WriteJson(std::ostream& out) const { out << ToJson(); }
 
 bool TraceRecorder::WriteFile(const std::string& path) const {
   std::ofstream out(path);

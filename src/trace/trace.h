@@ -139,6 +139,11 @@ class TraceRecorder {
   SimTime last_timestamp_ = 0;
 };
 
+// Appends `value` formatted exactly as printf("%.3f") does in the C locale
+// (std::to_chars fixed, precision 3), without printf's parsing and locale
+// costs: every timestamp and counter value of the JSON export.
+void AppendFixed3(std::string* out, double value);
+
 // Process-global recorder. Null (the default) disables all instrumentation;
 // sites must check before recording. Instrumented code caches TrackIds keyed
 // on the recorder pointer, so swap recorders rather than mutating one.

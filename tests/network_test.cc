@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "network/network.h"
+#include "sim/event_observer.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 
@@ -136,6 +141,146 @@ TEST(NetworkUtilization, ReportsBusyFraction) {
   network.Send(0, 1, 1'000'000'000, [] {});
   simulator.Run();
   EXPECT_NEAR(network.MaxLinkUtilization(), 1.0, 1e-9);
+}
+
+// Records every completion seq and message record the network reports.
+class MessageLog : public sim::EventObserver {
+ public:
+  void OnSchedule(std::uint64_t, std::int64_t, SimTime, SimTime) override {}
+  void OnFire(std::uint64_t, SimTime) override {}
+  void OnMessage(std::uint64_t seq, sim::MessageRecord record) override {
+    messages.emplace_back(seq, std::move(record));
+  }
+  std::vector<std::pair<std::uint64_t, sim::MessageRecord>> messages;
+};
+
+// One network driven through Send or through SendAlong on routes resolved
+// up front; everything observable must match.
+struct SendRig {
+  explicit SendRig(const topo::MeshTopology* topo)
+      : network(topo, NetworkConfig{}, &simulator) {}
+
+  void Run(bool along) {
+    const topo::MeshTopology& topo = network.topology();
+    const std::vector<std::pair<topo::ChipId, topo::ChipId>> pairs = {
+        {topo.ChipAt({0, 0}), topo.ChipAt({3, 2})},
+        {topo.ChipAt({1, 0}), topo.ChipAt({3, 0})},
+        {topo.ChipAt({3, 2}), topo.ChipAt({0, 0})},
+        {topo.ChipAt({2, 1}), topo.ChipAt({2, 1})},  // self-send
+        {topo.ChipAt({0, 3}), topo.ChipAt({0, 0})},  // Y wrap
+    };
+    std::vector<const Network::CachedRoute*> routes;
+    for (const auto& [from, to] : pairs) {
+      routes.push_back(&network.RouteFor(from, to));
+    }
+    // Degrade one link and fail another that the routes above cross.
+    network.DegradeLink(topo.LinkBetween(topo.ChipAt({1, 0}),
+                                         topo.ChipAt({2, 0})), 3.0);
+    network.FailLink(topo.LinkBetween(topo.ChipAt({3, 1}),
+                                      topo.ChipAt({3, 2})));
+    sim::ScopedEventObserver scope(&log);
+    for (int round = 0; round < 3; ++round) {
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const Bytes bytes = 1000 * static_cast<Bytes>(i + 1) + round;
+        auto record = [this] { arrivals.push_back(simulator.now()); };
+        if (along) {
+          network.SendAlong(*routes[i], bytes, record);
+        } else {
+          network.Send(pairs[i].first, pairs[i].second, bytes, record);
+        }
+      }
+      simulator.Run();
+    }
+  }
+
+  sim::Simulator simulator;
+  Network network;
+  MessageLog log;
+  std::vector<SimTime> arrivals;
+};
+
+TEST(NetworkSendAlong, MatchesSendOnHealthyDegradedAndFailedLinks) {
+  const topo::MeshTopology topo(topo::TopologyConfig::Slice(4, 4, true));
+  SendRig sent(&topo), along(&topo);
+  sent.Run(/*along=*/false);
+  along.Run(/*along=*/true);
+
+  EXPECT_EQ(sent.arrivals, along.arrivals);
+  EXPECT_EQ(sent.simulator.events_processed(),
+            along.simulator.events_processed());
+  const TrafficStats& a = sent.network.traffic();
+  const TrafficStats& b = along.network.traffic();
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.mesh_x_bytes, b.mesh_x_bytes);
+  EXPECT_EQ(a.mesh_y_bytes, b.mesh_y_bytes);
+  EXPECT_EQ(a.wrap_y_bytes, b.wrap_y_bytes);
+  EXPECT_EQ(a.cross_pod_x_bytes, b.cross_pod_x_bytes);
+  for (const topo::Link& link : topo.links()) {
+    EXPECT_EQ(sent.network.LinkUtilization(link.id),
+              along.network.LinkUtilization(link.id));
+  }
+  // The failed link really stalled something, and the degraded one slowed
+  // something, so all three link states were exercised.
+  EXPECT_GT(sent.simulator.now(), Network::kFailedLinkStall);
+
+  ASSERT_EQ(sent.log.messages.size(), along.log.messages.size());
+  ASSERT_EQ(sent.log.messages.size(), 15u);
+  bool degraded_hop = false;
+  for (std::size_t i = 0; i < sent.log.messages.size(); ++i) {
+    const auto& [seq_a, rec_a] = sent.log.messages[i];
+    const auto& [seq_b, rec_b] = along.log.messages[i];
+    EXPECT_EQ(seq_a, seq_b);
+    EXPECT_EQ(rec_a.from, rec_b.from);
+    EXPECT_EQ(rec_a.to, rec_b.to);
+    EXPECT_EQ(rec_a.bytes, rec_b.bytes);
+    EXPECT_EQ(rec_a.overhead, rec_b.overhead);
+    ASSERT_EQ(rec_a.hops.size(), rec_b.hops.size());
+    for (std::size_t h = 0; h < rec_a.hops.size(); ++h) {
+      const sim::MessageHopRecord& x = rec_a.hops[h];
+      const sim::MessageHopRecord& y = rec_b.hops[h];
+      EXPECT_EQ(x.link, y.link);
+      EXPECT_EQ(x.pod, y.pod);
+      EXPECT_STREQ(x.type_name, y.type_name);
+      EXPECT_EQ(x.queue, y.queue);
+      EXPECT_EQ(x.serialize, y.serialize);
+      EXPECT_EQ(x.healthy_serialize, y.healthy_serialize);
+      EXPECT_EQ(x.latency, y.latency);
+      EXPECT_EQ(x.start, y.start);
+      if (x.serialize == 3.0 * x.healthy_serialize) degraded_hop = true;
+    }
+  }
+  EXPECT_TRUE(degraded_hop);
+}
+
+TEST(NetworkRouteFor, ReferencesStayValidAsTheCacheGrows) {
+  const topo::MeshTopology topo(topo::TopologyConfig::Slice(16, 16, true));
+  sim::Simulator simulator;
+  Network network(&topo, NetworkConfig{}, &simulator);
+  const Network::CachedRoute& first = network.RouteFor(0, 17);
+  const std::vector<Network::CachedHop> hops = first.hops;
+  ASSERT_EQ(hops.size(), 2u);
+  // 65536 further routes, one per ordered chip pair.
+  for (topo::ChipId from = 0; from < topo.num_chips(); ++from) {
+    for (topo::ChipId to = 0; to < topo.num_chips(); ++to) {
+      const Network::CachedRoute& route = network.RouteFor(from, to);
+      ASSERT_EQ(route.from, from);
+      ASSERT_EQ(route.to, to);
+    }
+  }
+  EXPECT_EQ(&network.RouteFor(0, 17), &first);
+  EXPECT_EQ(first.from, 0);
+  EXPECT_EQ(first.to, 17);
+  ASSERT_EQ(first.hops.size(), hops.size());
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    EXPECT_EQ(first.hops[i].link, hops[i].link);
+    EXPECT_EQ(first.hops[i].latency, hops[i].latency);
+    EXPECT_EQ(first.hops[i].bandwidth, hops[i].bandwidth);
+  }
+  // Sends over the early reference still work.
+  SimTime done_at = -1;
+  network.SendAlong(first, 1000, [&] { done_at = simulator.now(); });
+  simulator.Run();
+  EXPECT_GT(done_at, 0.0);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -9,7 +10,9 @@
 #include <random>
 #include <vector>
 
+#include "network/network.h"
 #include "sim/simulator.h"
+#include "topology/topology.h"
 
 namespace tpu::sim {
 namespace {
@@ -333,8 +336,8 @@ TEST(RunQueue, MatchesAReferenceHeapUnderChurn) {
   // with pops: runs drain and re-form at the same times over and over, and
   // the run map fills, collides and erases far more than any simulation.
   struct Item {
-    SimTime when;
-    std::uint64_t seq;
+    SimTime when = 0.0;
+    std::uint64_t seq = 0;
   };
   struct Later {
     bool operator()(const Item& a, const Item& b) const {
@@ -355,15 +358,17 @@ TEST(RunQueue, MatchesAReferenceHeapUnderChurn) {
     for (int op = 0; op < 20000 || !reference.empty(); ++op) {
       if (op < 20000 && (reference.empty() || rng() % 5 < 3)) {
         const SimTime when = pool[rng() % pool.size()];
-        queue.Push(Item{when, seq});
+        queue.Push(when).seq = seq;
         reference.push(Item{when, seq});
         ++seq;
         continue;
       }
       ASSERT_EQ(queue.size(), reference.size());
       EXPECT_EQ(queue.Top().seq, reference.top().seq);
-      const Item item = queue.PopTop();
-      ASSERT_EQ(item.seq, reference.top().seq);
+      const RunQueue<Item>::Slot slot = queue.Pop();
+      ASSERT_EQ(queue.at(slot).seq, reference.top().seq);
+      EXPECT_EQ(queue.at(slot).when, reference.top().when);
+      queue.Release(slot);
       reference.pop();
     }
     EXPECT_TRUE(queue.empty());
@@ -414,6 +419,149 @@ TEST(Simulator, ExportsEventCoreCounters) {
   simulator.Run();
   EXPECT_EQ(simulator.events_processed(), 5u);
   EXPECT_EQ(simulator.peak_queue_depth(), 5u);  // sticky high-water mark
+}
+
+// Counts how a callable is built and moved on its way into the queue.
+struct Lifecycle {
+  int copies = 0;
+  int moves = 0;
+  int live = 0;  // constructed and not yet destroyed
+  int runs = 0;
+};
+
+// A callable that reports every copy, move and destruction. `Padding` bytes
+// push it past EventCallback's inline buffer, into a pooled block.
+template <std::size_t Padding>
+struct CountingCallable {
+  explicit CountingCallable(Lifecycle* life) : life(life) { ++life->live; }
+  CountingCallable(const CountingCallable& other) noexcept
+      : life(other.life) {
+    ++life->copies;
+    ++life->live;
+  }
+  CountingCallable(CountingCallable&& other) noexcept : life(other.life) {
+    ++life->moves;
+    ++life->live;
+  }
+  ~CountingCallable() { --life->live; }
+  void operator()() { ++life->runs; }
+
+  Lifecycle* life;
+  unsigned char padding[Padding] = {};
+};
+
+using InlineCallable = CountingCallable<8>;
+using PooledCallable = CountingCallable<256>;
+static_assert(sizeof(InlineCallable) <= EventCallback::kInlineCapacity);
+static_assert(sizeof(PooledCallable) > EventCallback::kInlineCapacity);
+
+template <typename Callable>
+void ExpectBuiltOnceInPlace() {
+  Simulator simulator;
+  Lifecycle life;
+  // A temporary is moved into the event's slot once; nothing relocates it
+  // afterwards.
+  simulator.ScheduleAt(1.0, Callable(&life));
+  EXPECT_EQ(life.moves, 1);
+  EXPECT_EQ(life.copies, 0);
+  EXPECT_EQ(life.live, 1);
+  // An lvalue is copied into the slot once.
+  const Callable original(&life);
+  simulator.Schedule(2.0, original);
+  EXPECT_EQ(life.moves, 1);
+  EXPECT_EQ(life.copies, 1);
+  simulator.Run();
+  EXPECT_EQ(life.runs, 2);
+  EXPECT_EQ(life.moves, 1);
+  EXPECT_EQ(life.copies, 1);
+  EXPECT_EQ(life.live, 1);  // only `original` is left
+}
+
+TEST(Simulator, CallablesAreBuiltOnceInTheirSlotAndNeverRelocated) {
+  ExpectBuiltOnceInPlace<InlineCallable>();
+  ExpectBuiltOnceInPlace<PooledCallable>();
+}
+
+TEST(Simulator, NetworkSendBuildsTheCompletionOnceInItsSlot) {
+  const topo::MeshTopology topo(topo::TopologyConfig::Slice(4, 4, true));
+  Simulator simulator;
+  net::Network network(&topo, net::NetworkConfig{}, &simulator);
+  Lifecycle inline_life, pooled_life;
+  network.Send(0, 5, 1000, InlineCallable(&inline_life));
+  network.Send(5, 5, 1000, PooledCallable(&pooled_life));  // self-send
+  network.SendAlong(network.RouteFor(0, 3), 1000,
+                    InlineCallable(&inline_life));
+  simulator.Run();
+  EXPECT_EQ(inline_life.runs, 2);
+  EXPECT_EQ(inline_life.moves, 2);
+  EXPECT_EQ(inline_life.copies, 0);
+  EXPECT_EQ(inline_life.live, 0);
+  EXPECT_EQ(pooled_life.runs, 1);
+  EXPECT_EQ(pooled_life.moves, 1);
+  EXPECT_EQ(pooled_life.copies, 0);
+  EXPECT_EQ(pooled_life.live, 0);
+}
+
+TEST(Simulator, AnEventCallbackArgumentIsMovedExactlyOnce) {
+  const topo::MeshTopology topo(topo::TopologyConfig::Slice(4, 4, true));
+  Simulator simulator;
+  net::Network network(&topo, net::NetworkConfig{}, &simulator);
+  Lifecycle life;
+  EventCallback scheduled(InlineCallable{&life});
+  EventCallback sent(InlineCallable{&life});
+  ASSERT_EQ(life.moves, 2);  // each built once
+  simulator.ScheduleAt(1.0, std::move(scheduled));
+  EXPECT_EQ(life.moves, 3);
+  network.Send(0, 1, 1000, std::move(sent));
+  EXPECT_EQ(life.moves, 4);
+  EXPECT_FALSE(scheduled);
+  EXPECT_FALSE(sent);
+  simulator.Run();
+  EXPECT_EQ(life.runs, 2);
+  EXPECT_EQ(life.copies, 0);
+  EXPECT_EQ(life.live, 0);
+}
+
+TEST(Simulator, RunningCallbackKeepsItsSlotWhileItSchedulesManyEvents) {
+  // The running event stays in its slot; enough new events to add several
+  // queue chunks must neither reuse nor move it, so its captures still
+  // read back intact after the burst (under ASan, a reused slot would be a
+  // use-after-destroy of the pooled capture).
+  Simulator simulator;
+  constexpr int kBurst = 5000;
+  int fired = 0;
+  std::vector<std::uint64_t> seen;
+  auto schedule_burst = [&simulator, &fired](std::uint64_t tag) {
+    for (int i = 0; i < kBurst; ++i) {
+      simulator.Schedule(i % 7 == 0 ? 0.0 : 1e-6 * (i % 13),
+                         [&fired] { ++fired; });
+    }
+    return tag;
+  };
+  // One inline capture and one pooled capture.
+  const std::array<std::uint32_t, 4> small = {11, 22, 33, 44};
+  simulator.Schedule(1.0, [&, small] {
+    seen.push_back(schedule_burst(small[0] + small[1] + small[2] + small[3]));
+    seen.push_back(small[0] + small[1] + small[2] + small[3]);
+  });
+  std::array<std::uint64_t, 32> big{};
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = 3 * i + 1;
+  simulator.Schedule(2.0, [&, big] {
+    std::uint64_t before = 0;
+    for (const std::uint64_t v : big) before += v;
+    schedule_burst(before);
+    std::uint64_t after = 0;
+    for (const std::uint64_t v : big) after += v;
+    seen.push_back(before);
+    seen.push_back(after);
+  });
+  simulator.Run();
+  EXPECT_EQ(fired, 2 * kBurst);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{110, 110, 1520, 1520}));
+  // The first burst lands while the second callback is still pending.
+  EXPECT_EQ(simulator.peak_queue_depth(),
+            static_cast<std::size_t>(kBurst) + 1);
+  EXPECT_EQ(simulator.callbacks_pooled(), 1u);
 }
 
 TEST(FifoResource, SerializesOverlappingAcquisitions) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "topology/topology.h"
 
@@ -101,6 +102,71 @@ TEST(MeshTopology, RouteWithoutWrapGoesTheLongWay) {
   const MeshTopology topo(TopologyConfig::Slice(4, 8, /*wrap_y=*/false));
   const auto path = topo.Route(topo.ChipAt({0, 0}), topo.ChipAt({0, 7}));
   EXPECT_EQ(path.size(), 8u);
+}
+
+// The pre-ForEachRouteLink route walk: step coordinates X then Y, taking
+// the shorter direction on a torus, and look each hop's link up by
+// neighbour.
+std::vector<LinkId> ReferenceRouteLinks(const MeshTopology& topo, ChipId from,
+                                        ChipId to) {
+  auto steps = [](int a, int b, int size, bool wrap) {
+    std::vector<int> out;
+    if (a == b) return out;
+    int direction = b > a ? 1 : -1;
+    if (wrap) {
+      direction = (b - a + size) % size <= (a - b + size) % size ? 1 : -1;
+    }
+    for (int cur = a; cur != b;) {
+      cur = (cur + direction + size) % size;
+      out.push_back(cur);
+    }
+    return out;
+  };
+  const Coord a = topo.CoordOf(from);
+  const Coord b = topo.CoordOf(to);
+  std::vector<ChipId> path{from};
+  for (const int x : steps(a.x, b.x, topo.size_x(), topo.config().wrap_x)) {
+    path.push_back(topo.ChipAt({x, a.y}));
+  }
+  for (const int y : steps(a.y, b.y, topo.size_y(), topo.config().wrap_y)) {
+    path.push_back(topo.ChipAt({b.x, y}));
+  }
+  std::vector<LinkId> links;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    links.push_back(topo.LinkBetween(path[i], path[i + 1]));
+  }
+  return links;
+}
+
+TEST(MeshTopology, ForEachRouteLinkVisitsTheRouteInOrder) {
+  TopologyConfig wrap_x = TopologyConfig::Slice(5, 3, true);
+  wrap_x.wrap_x = true;
+  // A 2-long torus dimension has no wrap links: its "wrap" step must take
+  // the mesh link back.
+  for (const TopologyConfig& config :
+       {TopologyConfig::Slice(8, 8, true), TopologyConfig::Slice(6, 5, false),
+        TopologyConfig::Slice(4, 2, true), TopologyConfig::Slice(2, 3, true),
+        TopologyConfig::Multipod(2), wrap_x}) {
+    const MeshTopology topo(config);
+    SCOPED_TRACE(topo.ToString());
+    const int stride = std::max(1, topo.num_chips() / 48);
+    for (ChipId from = 0; from < topo.num_chips(); from += stride) {
+      for (ChipId to = 0; to < topo.num_chips(); ++to) {
+        std::vector<LinkId> visited;
+        topo.ForEachRouteLink(from, to,
+                              [&](LinkId id) { visited.push_back(id); });
+        const std::vector<LinkId> expected =
+            ReferenceRouteLinks(topo, from, to);
+        ASSERT_EQ(visited, expected) << from << "->" << to;
+        ASSERT_EQ(topo.RouteLinks(from, to), expected);
+        const std::vector<ChipId> path = topo.Route(from, to);
+        ASSERT_EQ(path.size(), expected.size() + 1);
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_EQ(topo.link(expected[i]).to, path[i + 1]);
+        }
+      }
+    }
+  }
 }
 
 TEST(MeshTopology, SelfRouteIsSingleton) {

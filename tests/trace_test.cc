@@ -3,7 +3,13 @@
 // cases, simulator counters, and the step profiler.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -67,6 +73,36 @@ TEST(TraceRecorder, JsonContainsMetadataSpansAndCounters) {
   // The counter series accumulates deltas to absolute values.
   EXPECT_NE(json.find("\"value\":1024.000"), std::string::npos);
   EXPECT_NE(json.find("\"value\":0.000"), std::string::npos);
+}
+
+TEST(TraceRecorder, Fixed3FormatMatchesPrintfByteForByte) {
+  std::vector<double> values = {
+      0.0, -0.0, 0.0005, 0.0015, 0.0025, -0.0005, -0.0004, -0.0001, 1.0005,
+      2.5e-4, 1.2345, 0.1 + 0.2, 1e15, -1e15, 1e15 + 0.5, 123456789.0125,
+      4.9e-324, -4.9e-324, 2.2250738585072014e-308, 1e300,
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::min(), 9.9995, 99.9995, 0.9995};
+  // Halfway points at three decimals (x.xxx5), where the binary value sits
+  // just above or just below the decimal tie.
+  for (int i = 0; i < 2000; ++i) values.push_back((i + 0.5) / 1000.0);
+  std::mt19937_64 rng(20201106);
+  for (int i = 0; i < 100000; ++i) {
+    // Random bit patterns (finite only), plus timestamp-like magnitudes.
+    std::uint64_t bits = rng();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value)) values.push_back(value);
+    const double scale = std::ldexp(1.0, static_cast<int>(rng() % 80) - 40);
+    values.push_back((static_cast<double>(rng() >> 11) * 0x1.0p-53 - 0.5) *
+                     scale);
+  }
+  std::vector<char> expected(400);
+  for (const double value : values) {
+    std::snprintf(expected.data(), expected.size(), "%.3f", value);
+    std::string actual;
+    trace::AppendFixed3(&actual, value);
+    ASSERT_EQ(actual, std::string(expected.data())) << value;
+  }
 }
 
 TEST(TraceRecorder, TimeOffsetShiftsTimestamps) {
