@@ -20,7 +20,8 @@ int main() {
 
   // --- Part 1: the search space. On a 32x16 slice with a 64M-element
   // payload, every legal schedule gets a closed-form estimate; the top
-  // candidates are re-priced exactly on the discrete-event simulator.
+  // candidates that a certified lower bound cannot rule out are priced
+  // exactly on the discrete-event simulator.
   const topo::MeshTopology topo(topo::TopologyConfig::Slice(32, 16, true));
   plan::PlanRequest request;
   request.elems = 64 * 1000 * 1000;
@@ -38,10 +39,10 @@ int main() {
   plan::PlanCache cache;
   const plan::PlannerResult best =
       plan::FindBestPlan(topo, net::NetworkConfig{}, request, {}, &cache);
-  std::printf("\nchosen: %s (%.3f ms simulated) — %d candidates, %d priced "
-              "exactly\n",
+  std::printf("\nchosen: %s (%.3f ms simulated) — %d candidates, %d "
+              "shortlisted, %d priced exactly\n",
               best.plan.name().c_str(), ToMillis(best.predicted_seconds),
-              best.candidates, best.evaluated);
+              best.candidates, best.evaluated, best.des_runs);
   const plan::PlannerResult again =
       plan::FindBestPlan(topo, net::NetworkConfig{}, request, {}, &cache);
   std::printf("second search: %s (cache %s)\n\n", again.plan.name().c_str(),

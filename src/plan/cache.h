@@ -1,7 +1,7 @@
 // Memoized plan search results.
 //
 // A training run re-plans the same collective every step; the search (a
-// candidate sweep plus top-K discrete-event evaluations) is worth running
+// candidate sweep plus up to top-K discrete-event evaluations) is worth running
 // once per distinct situation. The cache key captures everything the search
 // depends on: topology shape, payload element count, model-parallel stride,
 // wire/direction/chunk allowances, search depth, and the link-health set —
@@ -31,6 +31,7 @@ class PlanCache {
   struct Entry {
     CollectivePlan plan;
     SimTime predicted_seconds = 0;  // DES-evaluated time of the winner
+    SimTime estimated_seconds = 0;  // its closed-form estimate
   };
 
   // Returns the cached entry or nullptr; counts a hit or miss either way

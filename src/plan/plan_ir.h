@@ -93,14 +93,15 @@ struct PlanRequest {
   // > 1 also enumerates chunk-pipelined variants up to this many chunks
   // (powers of two). 1 keeps the search space sequential-only.
   int max_chunks = 1;
-  // Candidates re-priced on the discrete-event simulator after closed-form
-  // pruning; the rest are ranked by estimate alone.
+  // Candidates shortlisted by closed-form estimate for the discrete-event
+  // simulator, which prices those the lower bound cannot rule out; the rest
+  // are ranked by estimate alone.
   int des_top_k = 3;
-  // Worker threads for the exact re-pricing tier. Each shortlisted candidate
-  // runs on its own throwaway Simulator and results are reduced in shortlist
-  // order, so the chosen plan and its predicted time are identical at any
-  // thread count (and this field is deliberately not part of the plan-cache
-  // key). 0 picks the hardware concurrency.
+  // Worker threads for the exact pricing tier. Each candidate left after the
+  // first price runs on its own throwaway Simulator and results are reduced
+  // by (time, name), so the chosen plan, its predicted time and the run
+  // count are identical at any thread count (and this field is deliberately
+  // not part of the plan-cache key). 0 picks the hardware concurrency.
   int search_threads = 1;
 
   friend bool operator==(const PlanRequest&, const PlanRequest&) = default;

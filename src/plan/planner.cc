@@ -17,6 +17,49 @@
 
 namespace tpu::plan {
 
+ShortlistPick PriceShortlist(const std::vector<SimTime>& bounds,
+                             const std::vector<std::string>& names,
+                             const std::function<SimTime(int)>& price,
+                             int threads) {
+  TPU_CHECK(!bounds.empty());
+  TPU_CHECK_EQ(bounds.size(), names.size());
+  const int first = static_cast<int>(
+      std::min_element(bounds.begin(), bounds.end()) - bounds.begin());
+  std::vector<SimTime> seconds(bounds.size());
+  seconds[first] = price(first);
+  std::vector<int> survivors;
+  for (int i = 0; i < static_cast<int>(bounds.size()); ++i) {
+    if (i != first && bounds[i] <= seconds[first]) survivors.push_back(i);
+  }
+  // Each survivor prices on its own throwaway Simulator with no shared
+  // state (the trace/metrics globals are thread-local), so they can fan out
+  // across a pool; which ones run depends only on the first price.
+  const int workers =
+      std::min(threads, static_cast<int>(survivors.size()));
+  if (workers > 1) {
+    ThreadPool pool(workers);
+    pool.ParallelFor(survivors.size(), [&](std::size_t begin,
+                                           std::size_t end) {
+      for (std::size_t j = begin; j < end; ++j) {
+        seconds[survivors[j]] = price(survivors[j]);
+      }
+    });
+  } else {
+    for (const int i : survivors) seconds[i] = price(i);
+  }
+
+  ShortlistPick pick{first, seconds[first],
+                     1 + static_cast<int>(survivors.size())};
+  for (const int i : survivors) {
+    if (seconds[i] < pick.seconds ||
+        (seconds[i] == pick.seconds && names[i] < names[pick.index])) {
+      pick.index = i;
+      pick.seconds = seconds[i];
+    }
+  }
+  return pick;
+}
+
 PlannerResult FindBestPlan(const topo::MeshTopology& topo,
                            const net::NetworkConfig& config,
                            const PlanRequest& request,
@@ -28,6 +71,7 @@ PlannerResult FindBestPlan(const topo::MeshTopology& topo,
       PlannerResult result;
       result.plan = entry->plan;
       result.predicted_seconds = entry->predicted_seconds;
+      result.estimated_seconds = entry->estimated_seconds;
       result.from_cache = true;
       return result;
     }
@@ -37,70 +81,59 @@ PlannerResult FindBestPlan(const topo::MeshTopology& topo,
   TPU_CHECK(!candidates.empty());
 
   // Closed-form tier: rank every candidate, ties broken by name so the
-  // ordering (and thus the DES shortlist) is deterministic.
+  // ordering (and thus the DES shortlist) is deterministic. Each lowering is
+  // kept for the shortlist's bounds.
   struct Scored {
     SimTime estimate;
     std::string name;
     const CollectivePlan* plan;
+    LoweredPlan lowered;
   };
   std::vector<Scored> scored;
   scored.reserve(candidates.size());
   for (const CollectivePlan& plan : candidates) {
-    const LoweredPlan lowered = LowerPlan(topo, plan, request.elems);
-    scored.push_back({EstimatePlanSeconds(topo, config, health, lowered),
-                      plan.name(), &plan});
+    LoweredPlan lowered = LowerPlan(topo, plan, request.elems);
+    const SimTime estimate =
+        EstimatePlanSeconds(topo, config, health, lowered);
+    scored.push_back({estimate, plan.name(), &plan, std::move(lowered)});
   }
   std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
     return a.estimate != b.estimate ? a.estimate < b.estimate
                                     : a.name < b.name;
   });
-
-  // Discrete-event tier: re-price the shortlist exactly; the executed time of
-  // the winner is bit-identical to what running it for real will report.
   const int top_k =
       std::min<int>(std::max(request.des_top_k, 1),
                     static_cast<int>(scored.size()));
+  scored.erase(scored.begin() + top_k, scored.end());
+
+  // Discrete-event tier over the shortlist, pruned by the certified bound;
+  // the executed time of the winner is bit-identical to what running it for
+  // real will report.
+  std::vector<SimTime> bounds;
+  std::vector<std::string> names;
+  for (const Scored& s : scored) {
+    bounds.push_back(LowerBoundPlanSeconds(topo, config, health, s.lowered));
+    names.push_back(s.name);
+  }
+  const int threads =
+      request.search_threads == 0
+          ? std::max(1, static_cast<int>(std::thread::hardware_concurrency()))
+          : std::max(request.search_threads, 1);
+  const ShortlistPick pick = PriceShortlist(
+      bounds, names,
+      [&](int i) {
+        return EvaluatePlanOnSimulator(topo, config, health, *scored[i].plan,
+                                       request.elems);
+      },
+      threads);
+
   PlannerResult result;
+  result.plan = *scored[pick.index].plan;
+  result.predicted_seconds = pick.seconds;
+  result.estimated_seconds = scored[pick.index].estimate;
   result.candidates = static_cast<int>(candidates.size());
   result.evaluated = top_k;
-  // Each shortlisted candidate prices on its own throwaway Simulator with no
-  // shared state (the trace/metrics globals are thread-local), so the
-  // evaluations can fan out across a pool; the reduction below walks
-  // `seconds` in shortlist order either way, making the winner independent
-  // of the thread count.
-  std::vector<SimTime> seconds(top_k);
-  const int threads = std::min(
-      top_k, request.search_threads == 0
-                 ? std::max(1, static_cast<int>(
-                                   std::thread::hardware_concurrency()))
-                 : std::max(request.search_threads, 1));
-  if (threads > 1) {
-    ThreadPool pool(threads);
-    pool.ParallelFor(top_k, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        seconds[i] = EvaluatePlanOnSimulator(topo, config, health,
-                                             *scored[i].plan, request.elems);
-      }
-    });
-  } else {
-    for (int i = 0; i < top_k; ++i) {
-      seconds[i] = EvaluatePlanOnSimulator(topo, config, health,
-                                           *scored[i].plan, request.elems);
-    }
-  }
-  bool have_best = false;
-  for (int i = 0; i < top_k; ++i) {
-    const bool better =
-        !have_best || seconds[i] < result.predicted_seconds ||
-        (seconds[i] == result.predicted_seconds &&
-         scored[i].name < result.plan.name());
-    if (better) {
-      have_best = true;
-      result.plan = *scored[i].plan;
-      result.predicted_seconds = seconds[i];
-      result.estimated_seconds = scored[i].estimate;
-    }
-  }
+  result.des_runs = pick.des_runs;
 
   if (trace::TraceRecorder* recorder = trace::CurrentTrace()) {
     // Pin the instant at the recorder's frontier; subtract the active offset
@@ -115,7 +148,8 @@ PlannerResult FindBestPlan(const topo::MeshTopology& topo,
     metrics->Counter("plan.search.evaluated").Add(result.evaluated);
   }
   if (cache != nullptr) {
-    cache->Insert(key, {result.plan, result.predicted_seconds});
+    cache->Insert(key, {result.plan, result.predicted_seconds,
+                        result.estimated_seconds});
   }
   return result;
 }

@@ -1,9 +1,11 @@
 // The planner: search, cache, execute, and replan on failure.
 //
-// FindBestPlan enumerates candidates, prunes with the fault-aware closed-form
-// estimate, re-prices the top K on a throwaway discrete-event network, and
-// returns the winner — consulting the PlanCache first when one is supplied.
-// Ties break on (time, name), so identical inputs always pick the same plan.
+// FindBestPlan enumerates candidates, shortlists the top K by the
+// fault-aware closed-form estimate, and returns the one the discrete-event
+// simulation prices cheapest — consulting the PlanCache first when one is
+// supplied. The certified lower bound (plan/cost.h) spares the simulation
+// every shortlisted candidate that cannot win (PriceShortlist). Ties break
+// on (time, name), so identical inputs always pick the same plan.
 //
 // ExecuteWithReplanning is the fault-driven loop the paper's recovery story
 // needs: execute the current plan with per-phase deadlines armed, feed the
@@ -14,6 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "common/units.h"
 #include "fault/health_monitor.h"
@@ -32,8 +37,28 @@ struct PlannerResult {
   SimTime estimated_seconds = 0;  // its closed-form estimate
   bool from_cache = false;
   int candidates = 0;  // plans enumerated (0 on a cache hit)
-  int evaluated = 0;   // plans re-priced on the simulator
+  int evaluated = 0;   // plans shortlisted for the simulator
+  int des_runs = 0;    // shortlisted plans the simulator actually priced
 };
+
+// The discrete-event tier's walk over a shortlist. `price(i)` runs
+// candidate i's simulation and must return at least `bounds[i]`. Prices the
+// lowest-bound candidate (the earliest on a tie) alone, then every other
+// whose bound does not exceed that price — across `threads` workers when
+// more than one — and picks the least (price, name) among those priced. A
+// skipped candidate prices at least its bound, strictly above a price
+// already seen, so the pick equals pricing the whole shortlist. A bound
+// equal to the price still runs: an exact tie breaks on name.
+struct ShortlistPick {
+  int index = -1;       // into the shortlist
+  SimTime seconds = 0;  // its price
+  int des_runs = 0;     // candidates priced
+};
+
+ShortlistPick PriceShortlist(const std::vector<SimTime>& bounds,
+                             const std::vector<std::string>& names,
+                             const std::function<SimTime(int)>& price,
+                             int threads = 1);
 
 PlannerResult FindBestPlan(const topo::MeshTopology& topo,
                            const net::NetworkConfig& config,

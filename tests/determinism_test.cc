@@ -92,9 +92,9 @@ TEST(Determinism, PlannerSearchIsBitIdenticalAcrossRuns) {
 }
 
 TEST(Determinism, PlannerSearchIsThreadCountInvariant) {
-  // The exact re-pricing tier fans shortlisted candidates across worker
-  // threads but reduces in shortlist order; the winner and its predicted
-  // time must match the serial search exactly.
+  // The exact pricing tier fans the candidates its lower bound leaves
+  // standing across worker threads; the winner, its predicted time and the
+  // number of simulations must match the serial search exactly.
   const topo::MeshTopology topo(topo::TopologyConfig::Slice(8, 8, true));
   const net::NetworkConfig config;
   plan::PlanRequest request;
@@ -110,6 +110,7 @@ TEST(Determinism, PlannerSearchIsThreadCountInvariant) {
   EXPECT_EQ(serial.estimated_seconds, threaded.estimated_seconds);
   EXPECT_EQ(serial.candidates, threaded.candidates);
   EXPECT_EQ(serial.evaluated, threaded.evaluated);
+  EXPECT_EQ(serial.des_runs, threaded.des_runs);
 }
 
 TEST(Determinism, CausalTrackerOnOrOffLeavesCollectiveTimingBitIdentical) {
@@ -353,6 +354,7 @@ TEST(Determinism, PlannerSearchOnDegradedSliceIsThreadCountInvariant) {
     EXPECT_EQ(baseline.plan.name(), result.plan.name());
     EXPECT_EQ(baseline.predicted_seconds, result.predicted_seconds);
     EXPECT_EQ(baseline.estimated_seconds, result.estimated_seconds);
+    EXPECT_EQ(baseline.des_runs, result.des_runs);
   }
 }
 

@@ -1,9 +1,11 @@
 // The collective planner: candidate legality, lowering, bit-identical
 // execution against the fixed 2-D schedule, the golden rediscovery of the
 // paper's schedule on a healthy multipod, fault-driven replanning around a
-// dead link, caching, and determinism.
+// dead link, caching, determinism, and the certified lower bound that prunes
+// the discrete-event tier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -23,6 +25,7 @@
 #include "plan/schedule.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
+#include "trace/run_report.h"
 
 namespace tpu {
 namespace {
@@ -35,6 +38,30 @@ struct Rig {
   explicit Rig(topo::TopologyConfig config)
       : topo(config), network(&topo, net::NetworkConfig{}, &simulator) {}
 };
+
+// Every X link of row `y` runs `factor` times slower.
+plan::LinkHealthSet SlowRow(const topo::MeshTopology& topo, int y,
+                            double factor) {
+  plan::LinkHealthSet health;
+  for (const topo::Link& link : topo.links()) {
+    const bool x_link = link.type == topo::LinkType::kMeshX ||
+                        link.type == topo::LinkType::kCrossPodX;
+    if (x_link && topo.CoordOf(link.from).y == y) {
+      health.degraded.emplace_back(link.id, factor);
+    }
+  }
+  return health;
+}
+
+// Both directions of the Y cable between (x, y) and (x, y + 1) are dead.
+plan::LinkHealthSet DeadYCable(const topo::MeshTopology& topo, int x, int y) {
+  plan::LinkHealthSet health;
+  const topo::ChipId a = topo.ChipAt({x, y});
+  const topo::ChipId b = topo.ChipAt({x, y + 1});
+  health.failed = {topo.LinkBetween(a, b), topo.LinkBetween(b, a)};
+  std::sort(health.failed.begin(), health.failed.end());
+  return health;
+}
 
 TEST(PlanIr, PaperPlanNameIsGolden) {
   plan::PlanRequest request;
@@ -327,6 +354,8 @@ TEST(Planner, CacheHitsSkipTheSearch) {
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(second.plan, first.plan);
   EXPECT_EQ(second.predicted_seconds, first.predicted_seconds);
+  EXPECT_EQ(second.estimated_seconds, first.estimated_seconds);
+  EXPECT_EQ(second.des_runs, 0);
 
   // A changed health set changes the key: no stale reuse after a detection.
   plan::LinkHealthSet health;
@@ -338,6 +367,207 @@ TEST(Planner, CacheHitsSkipTheSearch) {
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_NE(plan::PlanCacheKey(topo, request, health),
             plan::PlanCacheKey(topo, request, {}));
+}
+
+// The certified tier: on every generated candidate — rings, halving-doubling,
+// flat, all-reduce chains, strided and chunk-pipelined plans — over uneven
+// chunks, cross-pod links, a slowed row and a dead cable, the bound never
+// exceeds the discrete-event price. This is also the test that runs every
+// candidate on the simulator, pruned or not.
+TEST(PlannerBound, NeverExceedsTheSimulatedPrice) {
+  topo::TopologyConfig two_pods;
+  two_pods.pod_size_x = 4;
+  two_pods.pod_size_y = 4;
+  two_pods.num_pods = 2;
+  struct Case {
+    const char* label;
+    topo::TopologyConfig shape;
+    std::int64_t elems;
+    int stride;
+    int max_chunks;
+  };
+  // 10007 elements split unevenly on every ring and group. 2^20 splits
+  // evenly on the 4x4 slice, where the bound's sum matches the simulated
+  // one term for term and only the rounding margin keeps it below.
+  const Case cases[] = {
+      {"12x6 slice", topo::TopologyConfig::Slice(12, 6, true), 10007, 1, 1},
+      {"two 4x4 pods", two_pods, 10007, 1, 4},
+      {"8x8 slice, stride 2", topo::TopologyConfig::Slice(8, 8, true), 10007,
+       2, 4},
+      {"4x4 slice, even chunks", topo::TopologyConfig::Slice(4, 4, true),
+       1 << 20, 1, 1},
+  };
+  const net::NetworkConfig config;
+  for (const Case& c : cases) {
+    const topo::MeshTopology topo(c.shape);
+    plan::PlanRequest request;
+    request.elems = c.elems;
+    request.model_parallel_stride = c.stride;
+    request.max_chunks = c.max_chunks;
+    const plan::LinkHealthSet healths[] = {
+        {}, SlowRow(topo, 1, 4.0), DeadYCable(topo, 1, 2)};
+    for (const plan::LinkHealthSet& health : healths) {
+      for (const plan::CollectivePlan& candidate :
+           plan::GeneratePlans(topo, request)) {
+        SCOPED_TRACE(std::string(c.label) + " " + candidate.name() +
+                     health.CacheKeyFragment());
+        const SimTime bound = plan::LowerBoundPlanSeconds(
+            topo, config, health,
+            plan::LowerPlan(topo, candidate, request.elems));
+        const SimTime simulated = plan::EvaluatePlanOnSimulator(
+            topo, config, health, candidate, request.elems);
+        EXPECT_LE(bound, simulated);
+        if (candidate.chunks == 1) {
+          EXPECT_GT(bound, 0.0);
+        }
+      }
+    }
+  }
+}
+
+// FindBestPlan without pruning: DES-price the whole shortlist and reduce by
+// (time, name).
+plan::PlannerResult ExhaustiveSearch(const topo::MeshTopology& topo,
+                                     const plan::PlanRequest& request,
+                                     const plan::LinkHealthSet& health) {
+  const net::NetworkConfig config;
+  struct Scored {
+    SimTime estimate;
+    std::string name;
+    plan::CollectivePlan plan;
+  };
+  std::vector<Scored> scored;
+  for (const plan::CollectivePlan& candidate :
+       plan::GeneratePlans(topo, request)) {
+    scored.push_back(
+        {plan::EstimatePlanSeconds(
+             topo, config, health,
+             plan::LowerPlan(topo, candidate, request.elems)),
+         candidate.name(), candidate});
+  }
+  std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
+    return a.estimate != b.estimate ? a.estimate < b.estimate
+                                    : a.name < b.name;
+  });
+  const int top_k = std::min<int>(request.des_top_k, scored.size());
+  plan::PlannerResult result;
+  for (int i = 0; i < top_k; ++i) {
+    const SimTime seconds = plan::EvaluatePlanOnSimulator(
+        topo, config, health, scored[i].plan, request.elems);
+    if (i == 0 || seconds < result.predicted_seconds ||
+        (seconds == result.predicted_seconds &&
+         scored[i].name < result.plan.name())) {
+      result.plan = scored[i].plan;
+      result.predicted_seconds = seconds;
+      result.estimated_seconds = scored[i].estimate;
+    }
+  }
+  return result;
+}
+
+TEST(PlannerBound, PrunedSearchEqualsExhaustiveShortlist) {
+  const topo::MeshTopology topo(topo::TopologyConfig::Slice(16, 8, true));
+  const plan::LinkHealthSet healths[] = {
+      {}, SlowRow(topo, 3, 4.0), DeadYCable(topo, 5, 3)};
+  for (const plan::LinkHealthSet& health : healths) {
+    for (const int top_k : {1, 3, 8, 24}) {
+      SCOPED_TRACE("des_top_k=" + std::to_string(top_k) +
+                   health.CacheKeyFragment());
+      plan::PlanRequest request;
+      request.elems = (1 << 20) + 3;
+      request.des_top_k = top_k;
+      const plan::PlannerResult want = ExhaustiveSearch(topo, request, health);
+      const plan::PlannerResult got =
+          plan::FindBestPlan(topo, net::NetworkConfig{}, request, health);
+      EXPECT_EQ(got.plan, want.plan);
+      EXPECT_EQ(got.predicted_seconds, want.predicted_seconds);
+      EXPECT_EQ(got.estimated_seconds, want.estimated_seconds);
+      EXPECT_EQ(got.evaluated, std::min(top_k, got.candidates));
+      EXPECT_GE(got.des_runs, 1);
+      EXPECT_LE(got.des_runs, got.evaluated);
+    }
+  }
+}
+
+TEST(PlannerBound, HealthyPaperPlanWinsOnOneSimulation) {
+  const topo::MeshTopology topo(topo::TopologyConfig::Slice(16, 8, true));
+  plan::PlanRequest request;
+  request.elems = 1 << 22;
+  const plan::PlannerResult best =
+      plan::FindBestPlan(topo, net::NetworkConfig{}, request);
+  EXPECT_EQ(best.plan, plan::PaperPlan(request));
+  EXPECT_EQ(best.evaluated, 3);
+  EXPECT_EQ(best.des_runs, 1);
+}
+
+// The pruning walk on synthetic prices: it must price exactly the
+// candidates whose bound does not exceed the first price, and pick the same
+// candidate as pricing everything would.
+TEST(PlannerBound, ShortlistWalkPricesOnlyCandidatesThatCanWin) {
+  struct Case {
+    const char* label;
+    std::vector<SimTime> bounds;
+    std::vector<std::string> names;
+    std::vector<SimTime> prices;
+    int want_index;
+    std::vector<int> want_priced;
+  };
+  const Case cases[] = {
+      {"single", {1.0}, {"a"}, {1.5}, 0, {0}},
+      {"skips the hopeless", {1.0, 5.0, 2.0}, {"a", "b", "c"},
+       {3.0, 6.0, 2.5}, 2, {0, 2}},
+      // The smaller name has the larger bound, equal to the first price: it
+      // must still run, and win the exact tie.
+      {"tie at the bound", {1.0, 2.0}, {"b", "a"}, {2.0, 2.0}, 1, {0, 1}},
+      {"lowest bound first", {4.0, 0.5, 3.0, 9.0}, {"w", "x", "y", "z"},
+       {4.0, 3.5, 3.5, 9.0}, 1, {1, 2}},
+      {"equal bounds", {2.0, 2.0, 2.0}, {"c", "b", "a"},
+       {3.0, 3.0, 3.0}, 2, {0, 1, 2}},
+  };
+  for (const Case& c : cases) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(c.label) + " threads=" +
+                   std::to_string(threads));
+      std::vector<int> calls(c.bounds.size(), 0);
+      const plan::ShortlistPick pick = plan::PriceShortlist(
+          c.bounds, c.names,
+          [&](int i) {
+            ++calls[i];
+            return c.prices[i];
+          },
+          threads);
+      EXPECT_EQ(pick.index, c.want_index);
+      EXPECT_EQ(pick.seconds, c.prices[c.want_index]);
+      EXPECT_EQ(pick.des_runs, static_cast<int>(c.want_priced.size()));
+      std::vector<int> priced;
+      for (int i = 0; i < static_cast<int>(calls.size()); ++i) {
+        EXPECT_LE(calls[i], 1);
+        if (calls[i] == 1) priced.push_back(i);
+      }
+      EXPECT_EQ(priced, c.want_priced);
+    }
+  }
+}
+
+// Chunk-pipelined plans carry no bound, so they survive the first price and
+// fan out across the pool: a threaded search with several survivors must
+// match the serial one exactly, run count included.
+TEST(PlannerBound, ThreadedSearchPricesSurvivorsLikeSerial) {
+  const topo::MeshTopology topo(topo::TopologyConfig::Slice(8, 8, true));
+  plan::PlanRequest request;
+  request.elems = 1 << 16;
+  request.max_chunks = 4;
+  request.des_top_k = 8;
+  const plan::PlannerResult serial =
+      plan::FindBestPlan(topo, net::NetworkConfig{}, request);
+  request.search_threads = 4;
+  const plan::PlannerResult threaded =
+      plan::FindBestPlan(topo, net::NetworkConfig{}, request);
+  EXPECT_GE(serial.des_runs, 3);
+  EXPECT_EQ(threaded.des_runs, serial.des_runs);
+  EXPECT_EQ(threaded.plan, serial.plan);
+  EXPECT_EQ(threaded.predicted_seconds, serial.predicted_seconds);
+  EXPECT_EQ(threaded.estimated_seconds, serial.estimated_seconds);
 }
 
 TEST(Planner, EstimatorPricesFailedLinksIntoTheRanking) {
@@ -416,6 +646,24 @@ TEST(Planner, MultipodSystemPlannerModeMatchesFixedSchedule) {
   planned.SimulateStep(spec, batch, 1);
   EXPECT_EQ(planned.plan_cache().hits(), 1);
   EXPECT_EQ(planned.plan_cache().misses(), 1);
+}
+
+// A cached search still reports the winner's closed-form estimate, so every
+// observed planner-mode step exports the same provenance.
+TEST(Planner, CachedPlannerModeStepsReportTheEstimate) {
+  const models::ModelSpec& spec =
+      models::GetModelSpec(models::Benchmark::kBert);
+  core::SystemOptions options;
+  options.collective_planner = true;
+  core::MultipodSystem system(topo::TopologyConfig::Slice(16, 8, true),
+                              options);
+  trace::RunReport first, second;
+  system.SimulateStep(spec, 1024, 1, nullptr, nullptr, &first);
+  system.SimulateStep(spec, 1024, 1, nullptr, nullptr, &second);
+  EXPECT_EQ(system.plan_cache().hits(), 1);
+  EXPECT_GT(first.plan_estimated_seconds, 0.0);
+  EXPECT_EQ(second.plan_estimated_seconds, first.plan_estimated_seconds);
+  EXPECT_EQ(second.plan_predicted_seconds, first.plan_predicted_seconds);
 }
 
 TEST(Planner, HealthyExecutionDoesNotReplan) {
