@@ -4,8 +4,10 @@
 //   1. Healthy scaling sweep (BERT-scale payload): at every scale the search
 //      must rediscover the paper's ring 2-D [Y->X] bidirectional bf16
 //      schedule, and on the 4-pod 128x32 multipod its discrete-event time
-//      must be bit-identical to the fixed TwoDGradientSummation — asserted,
-//      not just printed (CI greps the plan dump for the golden name).
+//      must be bit-identical to the fixed TwoDGradientSummation. Both run
+//      PaperPlan through the one lowering and stage runner, so this checks
+//      the wrapper's result mapping. Asserted, not just printed (CI greps
+//      the plan dump for the golden name).
 //   2. Degraded mesh: one dead Y-torus link mid-mesh stalls every 2-D
 //      schedule. The monitored execution detects the stall via its phase
 //      deadline, re-plans under the observed link health, and the flat snake

@@ -5,6 +5,8 @@
 
 #include "common/check.h"
 #include "common/math_util.h"
+#include "plan/executor.h"
+#include "plan/schedule.h"
 #include "sim/simulator.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -12,21 +14,14 @@
 namespace tpu::coll {
 namespace {
 
-int PosIn(const std::vector<topo::ChipId>& ring, topo::ChipId chip) {
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    if (ring[i] == chip) return static_cast<int>(i);
-  }
-  TPU_CHECK(false) << "chip " << chip << " not on ring";
-  return -1;
-}
-
-std::vector<float*> DataFor(const std::vector<float*>& chip_buffers,
-                            const std::vector<topo::ChipId>& order) {
-  std::vector<float*> data;
-  if (chip_buffers.empty()) return data;
-  data.reserve(order.size());
-  for (topo::ChipId chip : order) data.push_back(chip_buffers[chip]);
-  return data;
+// The paper's schedule for `config`: ring 2-D [Y->X] with its wire options
+// and model-parallel stride.
+plan::CollectivePlan PaperPlanFor(const GradientSummationConfig& config) {
+  plan::PlanRequest request;
+  request.model_parallel_stride = config.model_parallel_stride;
+  request.allow_bidirectional = config.collective.bidirectional;
+  request.allow_bfloat16 = config.collective.bfloat16_wire;
+  return plan::PaperPlan(request);
 }
 
 }  // namespace
@@ -87,178 +82,26 @@ std::vector<topo::ChipId> SnakeRingOverMesh(const topo::MeshTopology& topo) {
 GradientSummationResult TwoDGradientSummation(
     net::Network& network, const GradientSummationConfig& config,
     std::vector<float*> chip_buffers) {
-  const topo::MeshTopology& topo = network.topology();
-  TPU_CHECK_GT(config.elems, 0);
-  TPU_CHECK_GT(config.model_parallel_stride, 0);
-  TPU_CHECK_EQ(topo.size_x() % config.model_parallel_stride, 0)
-      << "model-parallel groups must tile the X dimension";
-  if (!chip_buffers.empty()) {
-    TPU_CHECK_EQ(static_cast<int>(chip_buffers.size()), topo.num_chips());
-  }
-
-  GradientSummationResult result;
-  const Range full{0, config.elems};
-
-  sim::Simulator& simulator = network.simulator();
-  trace::TraceRecorder* recorder = trace::CurrentTrace();
-
-  // Phase 1: reduce-scatter along Y (one torus ring per column, all
-  // concurrent). The Y ring ordering is a function of the y coordinate only,
-  // so every column shares the same rank layout.
-  std::vector<RingSpec> y_rings;
-  y_rings.reserve(topo.size_x());
-  for (int x = 0; x < topo.size_x(); ++x) {
-    std::vector<topo::ChipId> order =
-        topo.RingAlong(topo::Dim::kY, topo.ChipAt({x, 0}));
-    RingSpec spec;
-    spec.data = DataFor(chip_buffers, order);
-    spec.order = std::move(order);
-    spec.range = full;
-    if (recorder != nullptr) spec.label = "Y x=" + std::to_string(x);
-    y_rings.push_back(std::move(spec));
-  }
-  // Rank of each row within the (shared) Y ring layout.
-  const std::vector<topo::ChipId> y_ring0 =
-      topo.RingAlong(topo::Dim::kY, topo.ChipAt({0, 0}));
-  std::vector<int> y_rank(topo.size_y());
-  for (int y = 0; y < topo.size_y(); ++y) {
-    y_rank[y] = PosIn(y_ring0, topo.ChipAt({0, y}));
-  }
-
-  // Phase 2: reduce-scatter along X over each Y-owned sub-range. Rings hop
-  // over model-parallel peers when stride > 1.
-  const int ny = static_cast<int>(y_ring0.size());
-  std::vector<RingSpec> x_rings;
-  for (int y = 0; y < topo.size_y(); ++y) {
-    const std::vector<Range> y_owned =
-        OwnedAfterReduceScatter(full, ny, y_rank[y], config.collective);
-    for (int offset = 0; offset < config.model_parallel_stride; ++offset) {
-      std::vector<topo::ChipId> order = topo.StridedRingAlong(
-          topo::Dim::kX, topo.ChipAt({offset, y}),
-          config.model_parallel_stride);
-      for (const Range& range : y_owned) {
-        if (range.size() == 0) continue;
-        RingSpec spec;
-        spec.data = DataFor(chip_buffers, order);
-        spec.order = order;
-        spec.range = range;
-        if (recorder != nullptr) {
-          spec.label = "X y=" + std::to_string(y);
-          if (config.model_parallel_stride > 1) {
-            spec.label += " g" + std::to_string(offset);
-          }
-        }
-        x_rings.push_back(std::move(spec));
-      }
-    }
-  }
-  // Ownership after both reduce phases, per chip.
-  auto owned_elems_of = [&](topo::ChipId chip) {
-    const topo::Coord c = topo.CoordOf(chip);
-    const std::vector<Range> y_owned =
-        OwnedAfterReduceScatter(full, ny, y_rank[c.y], config.collective);
-    const std::vector<topo::ChipId> x_ring = topo.StridedRingAlong(
-        topo::Dim::kX, chip, config.model_parallel_stride);
-    const int x_rank = PosIn(x_ring, chip);
-    std::int64_t elems = 0;
-    for (const Range& range : y_owned) {
-      if (range.size() == 0) continue;
-      for (const Range& owned : OwnedAfterReduceScatter(
-               range, static_cast<int>(x_ring.size()), x_rank,
-               config.collective)) {
-        elems += owned.size();
-      }
-    }
-    return elems;
-  };
-
-  for (int chip = 0; chip < topo.num_chips(); ++chip) {
-    result.max_owned_elems =
-        std::max(result.max_owned_elems, owned_elems_of(chip));
-  }
-
-  // The five phases chain through completion callbacks and the simulator
-  // runs once at the end, instead of draining the queue between phases.
-  // Timing is identical when the collective owns the event queue, but this
-  // lets externally scheduled events — armed fault injections and their
-  // healings (fault::FaultInjector) — fire *during* the collective rather
-  // than being absorbed into one phase's drain. Phase boundaries are the
-  // recorded callback timestamps; events left in the queue after the final
-  // all-gather (e.g. pending link healings) do not affect the result.
-  const bool monitored = config.deadline.enabled();
-  const SimTime start = simulator.now();
-  SimTime end_y_rs = -1, end_x_rs = -1, end_update = -1, end_x_ag = -1,
-          end_y_ag = -1;
-  SimTime exp_y_rs = 0, exp_x_rs = 0, exp_x_ag = 0, exp_y_ag = 0;
-
-  // Phase labels for the causal observer (critical-path attribution): set
-  // just before each phase schedules its events. Pure observation.
-  sim::EventObserver* observer = sim::CurrentEventObserver();
-
-  // Declared in reverse chain order; each stage captures its successor by
-  // reference (all outlive the Run() below). Expectations are estimated at
-  // each phase's start so they see the then-current link occupancy.
-  std::function<void()> after_y_ag = [&] { end_y_ag = simulator.now(); };
-  std::function<void()> start_y_ag = [&] {
-    end_x_ag = simulator.now();
-    if (monitored) {
-      exp_y_ag = ExpectedRingPhaseSeconds(network, y_rings, config.collective);
-    }
-    if (observer != nullptr) observer->OnPhase("Y-all-gather");
-    StartAllGather(network, y_rings, config.collective, after_y_ag);
-  };
-  std::function<void()> start_x_ag = [&] {
-    end_update = simulator.now();
-    if (monitored) {
-      exp_x_ag = ExpectedRingPhaseSeconds(network, x_rings, config.collective);
-    }
-    if (observer != nullptr) observer->OnPhase("X-all-gather");
-    StartAllGather(network, x_rings, config.collective, start_y_ag);
-  };
-  // Phase 3: sharded weight update (weight-update sharding, Section 3.2).
-  std::function<void()> start_update = [&] {
-    end_x_rs = simulator.now();
-    if (!config.shard_update_seconds) {
-      start_x_ag();
-      return;
-    }
-    if (observer != nullptr) observer->OnPhase("sharded-update");
-    auto barrier =
-        std::make_shared<sim::Barrier>(topo.num_chips(), start_x_ag);
-    for (int chip = 0; chip < topo.num_chips(); ++chip) {
-      simulator.Schedule(config.shard_update_seconds(owned_elems_of(chip)),
-                         [barrier] { barrier->Notify(); });
-    }
-  };
-  std::function<void()> start_x_rs = [&] {
-    end_y_rs = simulator.now();
-    if (monitored) {
-      exp_x_rs = ExpectedRingPhaseSeconds(network, x_rings, config.collective);
-    }
-    if (observer != nullptr) observer->OnPhase("X-reduce-scatter");
-    StartReduceScatter(network, x_rings, config.collective, start_update);
-  };
-  if (monitored) {
-    exp_y_rs = ExpectedRingPhaseSeconds(network, y_rings, config.collective);
-  }
-  if (observer != nullptr) observer->OnPhase("Y-reduce-scatter");
-  StartReduceScatter(network, y_rings, config.collective, start_x_rs);
-  simulator.Run();
-  TPU_CHECK_GE(end_y_ag, 0.0);
-
-  result.reduce_seconds = end_x_rs - start;
-  result.update_seconds = end_update - end_x_rs;
-  result.broadcast_seconds = end_y_ag - end_update;
-  result.phase_seconds.y_reduce_scatter = end_y_rs - start;
-  result.phase_seconds.x_reduce_scatter = end_x_rs - end_y_rs;
-  result.phase_seconds.update = end_update - end_x_rs;
-  result.phase_seconds.x_all_gather = end_x_ag - end_update;
-  result.phase_seconds.y_all_gather = end_y_ag - end_x_ag;
+  plan::PlanExecutionConfig exec;
+  exec.shard_update_seconds = config.shard_update_seconds;
+  exec.deadline = config.deadline;
+  plan::StageTimeline timeline;
+  GradientSummationResult result = plan::RunLoweredPlan(
+      network,
+      plan::LowerPlan(network.topology(), PaperPlanFor(config), config.elems,
+                      std::move(chip_buffers)),
+      exec, &timeline);
+  const SimTime start = timeline.start;
+  const SimTime end_y_rs = timeline.stage_end[0];
+  const SimTime end_x_rs = timeline.stage_end[1];
+  const SimTime end_update = timeline.update_end;
+  const SimTime end_x_ag = timeline.stage_end[2];
+  const SimTime end_y_ag = timeline.stage_end[3];
 
   // Phase boundaries are known only after the run, so spans are emitted
   // retroactively with explicit timestamps: one umbrella B/E pair wrapping a
   // complete span per phase on the shared summation track.
-  if (recorder != nullptr) {
+  if (trace::TraceRecorder* recorder = trace::CurrentTrace()) {
     const trace::TraceRecorder::TrackId track =
         recorder->Track("system", "summation");
     recorder->Begin(track, "2d-summation", start);
@@ -283,29 +126,6 @@ GradientSummationResult TwoDGradientSummation(
     metrics->Histogram("summation.y_all_gather_us")
         .Record(ToMicros(result.phase_seconds.y_all_gather));
   }
-
-  if (monitored) {
-    auto record = [&result, &config](const char* name, SimTime phase_start,
-                                     SimTime phase_end, SimTime expected) {
-      PhaseTiming timing;
-      timing.name = name;
-      timing.start = phase_start;
-      timing.expected = expected;
-      timing.actual = phase_end - phase_start;
-      timing.deadline = config.deadline.DeadlineFor(expected);
-      timing.timed_out = timing.actual > timing.deadline;
-      if (timing.timed_out && !result.timed_out) {
-        result.timed_out = true;
-        result.detected_at = phase_start + timing.deadline;
-        result.timed_out_phase = name;
-      }
-      result.phases.push_back(timing);
-    };
-    record("Y-reduce-scatter", start, end_y_rs, exp_y_rs);
-    record("X-reduce-scatter", end_y_rs, end_x_rs, exp_x_rs);
-    record("X-all-gather", end_update, end_x_ag, exp_x_ag);
-    record("Y-all-gather", end_x_ag, end_y_ag, exp_y_ag);
-  }
   return result;
 }
 
@@ -315,10 +135,6 @@ SimTime PipelinedTwoDGradientSummation(
   const topo::MeshTopology& topo = network.topology();
   TPU_CHECK_GT(config.elems, 0);
   TPU_CHECK_GT(chunks, 0);
-  TPU_CHECK_EQ(topo.size_x() % config.model_parallel_stride, 0);
-  if (!chip_buffers.empty()) {
-    TPU_CHECK_EQ(static_cast<int>(chip_buffers.size()), topo.num_chips());
-  }
   sim::Simulator& simulator = network.simulator();
   trace::TraceRecorder* recorder = trace::CurrentTrace();
   const SimTime start = simulator.now();
@@ -326,15 +142,7 @@ SimTime PipelinedTwoDGradientSummation(
     // Chunk phases overlap, so a single label covers the fused collective.
     observer->OnPhase("pipelined-2d");
   }
-
-  // Shared ring layouts (identical for every slice).
-  const std::vector<topo::ChipId> y_ring0 =
-      topo.RingAlong(topo::Dim::kY, topo.ChipAt({0, 0}));
-  const int ny = static_cast<int>(y_ring0.size());
-  std::vector<int> y_rank(topo.size_y());
-  for (int y = 0; y < topo.size_y(); ++y) {
-    y_rank[y] = PosIn(y_ring0, topo.ChipAt({0, y}));
-  }
+  const plan::CollectivePlan paper = PaperPlanFor(config);
 
   // Slice phases overlap, so deadline monitoring watches the fused collective
   // as a whole: the expectation is the *sequential* full-payload schedule
@@ -343,34 +151,11 @@ SimTime PipelinedTwoDGradientSummation(
   // compute, not communication, and is excluded from the expectation.
   const bool monitored = report != nullptr && config.deadline.enabled();
   if (monitored) {
-    std::vector<RingSpec> estimate_y;
-    for (int x = 0; x < topo.size_x(); ++x) {
-      RingSpec spec;
-      spec.order = topo.RingAlong(topo::Dim::kY, topo.ChipAt({x, 0}));
-      spec.range = Range{0, config.elems};
-      estimate_y.push_back(std::move(spec));
-    }
-    std::vector<RingSpec> estimate_x;
-    for (int y = 0; y < topo.size_y(); ++y) {
-      const std::vector<Range> y_owned = OwnedAfterReduceScatter(
-          Range{0, config.elems}, ny, y_rank[y], config.collective);
-      for (int offset = 0; offset < config.model_parallel_stride; ++offset) {
-        std::vector<topo::ChipId> order = topo.StridedRingAlong(
-            topo::Dim::kX, topo.ChipAt({offset, y}),
-            config.model_parallel_stride);
-        for (const Range& owned : y_owned) {
-          if (owned.size() == 0) continue;
-          RingSpec spec;
-          spec.order = order;
-          spec.range = owned;
-          estimate_x.push_back(std::move(spec));
-        }
-      }
-    }
-    const SimTime y_phase =
-        ExpectedRingPhaseSeconds(network, estimate_y, config.collective);
-    const SimTime x_phase =
-        ExpectedRingPhaseSeconds(network, estimate_x, config.collective);
+    const plan::LoweredPlan full = plan::LowerPlan(topo, paper, config.elems);
+    const SimTime y_phase = ExpectedRingPhaseSeconds(
+        network, *full.stages[0].specs, config.collective);
+    const SimTime x_phase = ExpectedRingPhaseSeconds(
+        network, *full.stages[1].specs, config.collective);
     report->expected = 2 * y_phase + 2 * x_phase;
     report->deadline = config.deadline.DeadlineFor(report->expected);
   }
@@ -388,46 +173,30 @@ SimTime PipelinedTwoDGradientSummation(
       all_done->Notify();
       continue;
     }
-    // Per-slice ring specs.
-    auto y_rings = std::make_shared<std::vector<RingSpec>>();
-    for (int x = 0; x < topo.size_x(); ++x) {
-      std::vector<topo::ChipId> order =
-          topo.RingAlong(topo::Dim::kY, topo.ChipAt({x, 0}));
-      RingSpec spec;
-      spec.data = DataFor(chip_buffers, order);
-      spec.order = std::move(order);
-      spec.range = range;
-      if (recorder != nullptr) {
-        spec.label = "Y s" + std::to_string(c) + " x=" + std::to_string(x);
-      }
-      y_rings->push_back(std::move(spec));
-    }
-    auto x_rings = std::make_shared<std::vector<RingSpec>>();
-    for (int y = 0; y < topo.size_y(); ++y) {
-      const std::vector<Range> y_owned =
-          OwnedAfterReduceScatter(range, ny, y_rank[y], config.collective);
-      for (int offset = 0; offset < config.model_parallel_stride; ++offset) {
-        std::vector<topo::ChipId> order = topo.StridedRingAlong(
-            topo::Dim::kX, topo.ChipAt({offset, y}),
-            config.model_parallel_stride);
-        for (const Range& owned : y_owned) {
-          if (owned.size() == 0) continue;
-          RingSpec spec;
-          spec.data = DataFor(chip_buffers, order);
-          spec.order = order;
-          spec.range = owned;
-          if (recorder != nullptr) {
-            spec.label = "X s" + std::to_string(c) + " y=" + std::to_string(y);
-          }
-          x_rings->push_back(std::move(spec));
-        }
+    // The slice's rings: the paper's plan lowered over the slice's length,
+    // shifted to its offset (chunk and direction layouts are shift-invariant,
+    // so ownership and owned counts carry over). Stages 0 and 1 are the Y
+    // and X reduce-scatters; the all-gathers share their spec lists.
+    plan::LoweredPlan lowered =
+        plan::LowerPlan(topo, paper, range.size(), chip_buffers);
+    const std::shared_ptr<std::vector<RingSpec>> y_rings =
+        lowered.stages[0].specs;
+    const std::shared_ptr<std::vector<RingSpec>> x_rings =
+        lowered.stages[1].specs;
+    for (const auto& rings : {y_rings, x_rings}) {
+      for (RingSpec& spec : *rings) {
+        spec.range.begin += range.begin;
+        spec.range.end += range.begin;
+        // "Y x=3" -> "Y s<c> x=3", "X y=0 g1" -> "X s<c> y=0 g1".
+        if (recorder != nullptr) spec.label.insert(1, " s" + std::to_string(c));
       }
     }
+    auto owned_elems = std::make_shared<std::vector<std::int64_t>>(
+        std::move(lowered.owned_elems));
 
     // Phase chain for this slice: Y-RS -> X-RS -> [update] -> X-AG -> Y-AG.
     net::Network* net_ptr = &network;
-    const auto options = config.collective;
-    auto update_hook = config.shard_update_seconds;
+    const CollectiveOptions options = config.collective;
     auto after_xag = [net_ptr, y_rings, options, all_done] {
       StartAllGather(*net_ptr, *y_rings, options,
                      [all_done] { all_done->Notify(); });
@@ -435,33 +204,19 @@ SimTime PipelinedTwoDGradientSummation(
     auto after_update = [net_ptr, x_rings, options, after_xag] {
       StartAllGather(*net_ptr, *x_rings, options, after_xag);
     };
-    auto after_xrs = [net_ptr, &topo, range, ny, y_rank, update_hook, config,
-                      after_update]() {
+    auto after_xrs = [net_ptr, owned_elems,
+                      update_hook = config.shard_update_seconds,
+                      after_update] {
       if (!update_hook) {
         after_update();
         return;
       }
       // Sharded weight update on each chip's owned slice portion.
-      sim::Simulator& sim_ref = net_ptr->simulator();
-      auto barrier = std::make_shared<sim::Barrier>(topo.num_chips(),
-                                                    after_update);
-      for (int chip = 0; chip < topo.num_chips(); ++chip) {
-        const topo::Coord coord = topo.CoordOf(chip);
-        const std::vector<topo::ChipId> x_ring = topo.StridedRingAlong(
-            topo::Dim::kX, chip, config.model_parallel_stride);
-        const int x_rank = PosIn(x_ring, chip);
-        std::int64_t owned_elems = 0;
-        for (const Range& r : OwnedAfterReduceScatter(
-                 range, ny, y_rank[coord.y], config.collective)) {
-          if (r.size() == 0) continue;
-          for (const Range& owned : OwnedAfterReduceScatter(
-                   r, static_cast<int>(x_ring.size()), x_rank,
-                   config.collective)) {
-            owned_elems += owned.size();
-          }
-        }
-        sim_ref.Schedule(update_hook(owned_elems),
-                         [barrier] { barrier->Notify(); });
+      auto barrier = std::make_shared<sim::Barrier>(
+          static_cast<int>(owned_elems->size()), after_update);
+      for (const std::int64_t elems : *owned_elems) {
+        net_ptr->simulator().Schedule(update_hook(elems),
+                                      [barrier] { barrier->Notify(); });
       }
     };
     StartReduceScatter(network, *y_rings, options,
@@ -499,7 +254,11 @@ SimTime OneDGradientSummation(net::Network& network,
   const topo::MeshTopology& topo = network.topology();
   RingSpec spec;
   spec.order = SnakeRingOverMesh(topo);
-  spec.data = DataFor(chip_buffers, spec.order);
+  if (!chip_buffers.empty()) {
+    for (const topo::ChipId chip : spec.order) {
+      spec.data.push_back(chip_buffers[chip]);
+    }
+  }
   spec.range = Range{0, config.elems};
   std::vector<RingSpec> rings;
   rings.push_back(std::move(spec));

@@ -105,7 +105,10 @@ struct GradientSummationResult {
   }
 };
 
-// Runs the full 2-D summation on the network's topology. `chip_buffers` is
+// Runs the full 2-D summation on the network's topology: the paper's plan
+// (plan::PaperPlan at the config's stride and wire options) lowered by
+// plan::LowerPlan and run by plan::RunLoweredPlan, reported on the
+// `summation` trace track and the `summation.*` metrics. `chip_buffers` is
 // either empty (timing-only) or holds one payload pointer per chip id; after
 // the call every participating chip's buffer contains the global sum
 // (across its Y column and its strided X peers).
@@ -118,8 +121,9 @@ GradientSummationResult TwoDGradientSummation(
 // slice i+1 reduces on the Y links while slice i reduces on the X links.
 // This is how production XLA hides the smaller phase; the sequential
 // schedule above is the conservative default. Functionally identical
-// (slices are disjoint); returns elapsed simulated time. The weight-update
-// hook, when present, runs per slice on the owned shard.
+// (slices are disjoint): each slice runs the paper's plan lowered over its
+// own length. Returns elapsed simulated time. The weight-update hook, when
+// present, runs per slice on the owned shard.
 //
 // Phases of different slices overlap, so deadline monitoring (when
 // config.deadline is enabled and `report` is non-null) watches the fused

@@ -278,7 +278,8 @@ StepBreakdown MultipodSystem::SimulateStep(const models::ModelSpec& spec,
   bool planned = false;
   std::string plan_name;
   SimTime plan_predicted = 0, plan_estimated = 0;
-  const coll::GradientSummationResult result = [&] {
+  const coll::GradientSummationResult result =
+      [&]() -> coll::GradientSummationResult {
     trace::ScopedTimeOffset offset(recorder, trace_base + step.compute);
     sim::ScopedEventObserver observe(
         report != nullptr ? static_cast<sim::EventObserver*>(&tracker)
@@ -303,15 +304,7 @@ StepBreakdown MultipodSystem::SimulateStep(const models::ModelSpec& spec,
     plan_estimated = best.estimated_seconds;
     plan::PlanExecutionConfig exec_config;
     exec_config.shard_update_seconds = summation.shard_update_seconds;
-    const plan::PlanExecutionResult exec =
-        plan::ExecutePlan(network, best.plan, request.elems, exec_config);
-    coll::GradientSummationResult mapped;
-    mapped.reduce_seconds = exec.reduce_seconds;
-    mapped.update_seconds = exec.update_seconds;
-    mapped.broadcast_seconds = exec.broadcast_seconds;
-    mapped.phase_seconds = exec.summation_phases;
-    mapped.max_owned_elems = exec.max_owned_elems;
-    return mapped;
+    return plan::ExecutePlan(network, best.plan, request.elems, exec_config);
   }();
   step.allreduce = result.reduce_seconds + result.broadcast_seconds;
   // Optional overlap of the gradient reduction with backprop: only time

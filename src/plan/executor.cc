@@ -7,7 +7,6 @@
 #include "collectives/halving_doubling.h"
 #include "collectives/ring.h"
 #include "common/check.h"
-#include "plan/schedule.h"
 #include "sim/simulator.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -39,7 +38,7 @@ PlanExecutionResult ExecuteChunked(net::Network& network,
   PlanExecutionResult result;
   result.reduce_seconds = elapsed;
   result.stages.push_back({"pipelined-2d", elapsed});
-  result.summation_phases.y_reduce_scatter = elapsed;
+  result.phase_seconds.y_reduce_scatter = elapsed;
   if (monitored) {
     coll::PhaseTiming timing;
     timing.name = "pipelined-2d";
@@ -58,40 +57,25 @@ PlanExecutionResult ExecuteChunked(net::Network& network,
 
 }  // namespace
 
-PlanExecutionResult ExecutePlan(net::Network& network,
-                                const CollectivePlan& plan,
-                                std::int64_t elems,
-                                const PlanExecutionConfig& config,
-                                std::vector<float*> chip_buffers) {
-  const topo::MeshTopology& topo = network.topology();
-  TPU_CHECK_GT(elems, 0);
-  std::string error;
-  TPU_CHECK(ValidatePlan(topo, plan, &error)) << error;
-  if (plan.chunks > 1) {
-    return ExecuteChunked(network, plan, elems, config,
-                          std::move(chip_buffers));
-  }
-
-  LoweredPlan lowered = LowerPlan(topo, plan, elems, std::move(chip_buffers));
+PlanExecutionResult RunLoweredPlan(net::Network& network,
+                                   const LoweredPlan& lowered,
+                                   const PlanExecutionConfig& config,
+                                   StageTimeline* timeline) {
   const int ns = static_cast<int>(lowered.stages.size());
-  const coll::CollectiveOptions options = plan.collective_options();
+  const int num_chips = network.topology().num_chips();
+  const coll::CollectiveOptions options = lowered.plan.collective_options();
   sim::Simulator& simulator = network.simulator();
-  trace::TraceRecorder* recorder = trace::CurrentTrace();
   const bool monitored = config.deadline.enabled();
   const SimTime start = simulator.now();
-
-  PlanExecutionResult result;
-  result.max_owned_elems = lowered.max_owned_elems;
 
   std::vector<SimTime> stage_end(ns, -1.0);
   std::vector<SimTime> stage_expected(ns, 0.0);
   SimTime update_end = -1.0;
   SimTime finish = -1.0;
 
-  // Stages chain through completion callbacks with one simulator run at the
-  // end, so externally armed events (fault injections) fire mid-collective;
-  // the sequence per transition — record end, estimate the next stage, start
-  // it — matches TwoDGradientSummation event for event.
+  // The sequence per transition — record the stage's end, estimate the next
+  // stage, label it for the causal observer, start it — is the event order
+  // every caller's timing depends on.
   std::function<void(int)> launch = [&](int i) {
     if (i == ns) {
       finish = simulator.now();
@@ -113,16 +97,16 @@ PlanExecutionResult ExecutePlan(net::Network& network,
         launch(i + 1);
         return;
       }
-      // Sharded weight update on every chip's owned elements; the barrier
-      // callback continues the chain (mirrors the fixed schedule's update).
+      // Sharded weight update (Section 3.2) on every chip's owned elements;
+      // the barrier callback continues the chain.
       if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
         observer->OnPhase("sharded-update");
       }
-      auto barrier = std::make_shared<sim::Barrier>(topo.num_chips(), [&, i] {
+      auto barrier = std::make_shared<sim::Barrier>(num_chips, [&, i] {
         update_end = simulator.now();
         launch(i + 1);
       });
-      for (int chip = 0; chip < topo.num_chips(); ++chip) {
+      for (int chip = 0; chip < num_chips; ++chip) {
         simulator.Schedule(
             config.shard_update_seconds(lowered.owned_elems[chip]),
             [barrier] { barrier->Notify(); });
@@ -152,69 +136,92 @@ PlanExecutionResult ExecutePlan(net::Network& network,
   TPU_CHECK_GE(finish, 0.0);
   if (update_end < 0) update_end = stage_end[lowered.update_after];
 
+  PlanExecutionResult result;
+  result.max_owned_elems = lowered.max_owned_elems;
   result.reduce_seconds = stage_end[lowered.update_after] - start;
   result.update_seconds = update_end - stage_end[lowered.update_after];
   result.broadcast_seconds = finish - update_end;
+  result.phase_seconds.update = result.update_seconds;
 
-  // Per-stage durations and the five-phase mapping.
-  SimTime prev = start;
+  // Per-stage durations, the five-phase mapping and deadline scoring. A
+  // stage starts where the previous one (or the update after it) ended.
+  SimTime stage_start = start;
   for (int i = 0; i < ns; ++i) {
     const LoweredStage& stage = lowered.stages[i];
-    const SimTime seconds = stage_end[i] - prev;
+    const SimTime seconds = stage_end[i] - stage_start;
     result.stages.push_back({stage.name, seconds});
-    coll::SummationPhaseSeconds& sp = result.summation_phases;
+    const bool rs = stage.op == LoweredStage::Op::kReduceScatter;
+    coll::SummationPhaseSeconds& sp = result.phase_seconds;
     if (stage.dim == PlanDim::kX) {
-      (stage.op == LoweredStage::Op::kReduceScatter ? sp.x_reduce_scatter
-                                                    : sp.x_all_gather) +=
-          seconds;
+      (rs ? sp.x_reduce_scatter : sp.x_all_gather) += seconds;
     } else {
-      (stage.op == LoweredStage::Op::kReduceScatter ? sp.y_reduce_scatter
-                                                    : sp.y_all_gather) +=
-          seconds;
+      (rs ? sp.y_reduce_scatter : sp.y_all_gather) += seconds;
     }
-    prev = i == lowered.update_after ? update_end : stage_end[i];
+    if (monitored) {
+      coll::PhaseTiming timing;
+      timing.name = stage.name;
+      timing.start = stage_start;
+      timing.expected = stage_expected[i];
+      timing.actual = seconds;
+      timing.deadline = config.deadline.DeadlineFor(stage_expected[i]);
+      timing.timed_out = timing.actual > timing.deadline;
+      if (timing.timed_out && !result.timed_out) {
+        result.timed_out = true;
+        result.detected_at = stage_start + timing.deadline;
+        result.timed_out_phase = timing.name;
+      }
+      result.phases.push_back(timing);
+    }
+    stage_start = i == lowered.update_after ? update_end : stage_end[i];
   }
-  result.summation_phases.update = result.update_seconds;
 
-  if (recorder != nullptr) {
+  timeline->start = start;
+  timeline->stage_end = std::move(stage_end);
+  timeline->update_end = update_end;
+  return result;
+}
+
+PlanExecutionResult ExecutePlan(net::Network& network,
+                                const CollectivePlan& plan,
+                                std::int64_t elems,
+                                const PlanExecutionConfig& config,
+                                std::vector<float*> chip_buffers) {
+  TPU_CHECK_GT(elems, 0);
+  std::string error;
+  TPU_CHECK(ValidatePlan(network.topology(), plan, &error)) << error;
+  if (plan.chunks > 1) {
+    return ExecuteChunked(network, plan, elems, config,
+                          std::move(chip_buffers));
+  }
+
+  const LoweredPlan lowered =
+      LowerPlan(network.topology(), plan, elems, std::move(chip_buffers));
+  StageTimeline timeline;
+  PlanExecutionResult result =
+      RunLoweredPlan(network, lowered, config, &timeline);
+  const SimTime finish = timeline.stage_end.back();
+
+  if (trace::TraceRecorder* recorder = trace::CurrentTrace()) {
     const trace::TraceRecorder::TrackId track =
         recorder->Track("system", "plan");
-    recorder->Begin(track, "plan " + plan.name(), start);
-    SimTime span_start = start;
-    for (int i = 0; i < ns; ++i) {
-      recorder->Complete(track, lowered.stages[i].name, span_start,
-                         stage_end[i]);
-      span_start = stage_end[i];
-      if (i == lowered.update_after && update_end > stage_end[i]) {
-        recorder->Complete(track, "sharded-update", stage_end[i], update_end);
-        span_start = update_end;
+    recorder->Begin(track, "plan " + plan.name(), timeline.start);
+    SimTime span_start = timeline.start;
+    for (std::size_t i = 0; i < lowered.stages.size(); ++i) {
+      const SimTime end = timeline.stage_end[i];
+      recorder->Complete(track, lowered.stages[i].name, span_start, end);
+      span_start = end;
+      if (static_cast<int>(i) == lowered.update_after &&
+          timeline.update_end > end) {
+        recorder->Complete(track, "sharded-update", end, timeline.update_end);
+        span_start = timeline.update_end;
       }
     }
     recorder->End(track, finish);
   }
   if (trace::MetricsRegistry* metrics = trace::CurrentMetrics()) {
     metrics->Counter("plan.exec.runs").Add(1);
-    metrics->Histogram("plan.exec.total_us").Record(ToMicros(finish - start));
-  }
-
-  if (monitored) {
-    SimTime phase_start = start;
-    for (int i = 0; i < ns; ++i) {
-      coll::PhaseTiming timing;
-      timing.name = lowered.stages[i].name;
-      timing.start = phase_start;
-      timing.expected = stage_expected[i];
-      timing.actual = stage_end[i] - phase_start;
-      timing.deadline = config.deadline.DeadlineFor(stage_expected[i]);
-      timing.timed_out = timing.actual > timing.deadline;
-      if (timing.timed_out && !result.timed_out) {
-        result.timed_out = true;
-        result.detected_at = phase_start + timing.deadline;
-        result.timed_out_phase = timing.name;
-      }
-      result.phases.push_back(timing);
-      phase_start = i == lowered.update_after ? update_end : stage_end[i];
-    }
+    metrics->Histogram("plan.exec.total_us")
+        .Record(ToMicros(finish - timeline.start));
   }
   return result;
 }

@@ -1,16 +1,20 @@
 // Discrete-event execution of a lowered CollectivePlan.
 //
-// The executor chains the lowered stages through completion callbacks and
-// runs the simulator once, exactly the discipline TwoDGradientSummation
-// uses — same spec construction order, same barrier structure, same
-// estimate-then-start sequence per stage. Events at equal timestamps run in
-// insertion order, so for the canonical ring 2-D [Y->X] plan the executed
-// timing is bit-identical to the fixed schedule: the planner costs nothing
-// when it picks the plan the code used to hard-wire.
-//
-// Like the fixed schedule it supports the sharded-weight-update hook (run
-// after the last reduce-scatter on each chip's owned shard), per-phase
-// deadline monitoring, functional payload buffers, and trace spans.
+// RunLoweredPlan is the one sequential stage runner. It chains the lowered
+// stages through completion callbacks and runs the simulator once, so
+// externally armed events (fault injections and their healings) fire
+// mid-collective. It runs the sharded-weight-update barrier after the last
+// reduce-scatter, scores each stage against its deadline, and fills the
+// five-phase view. Two front ends run it and differ only in what they
+// report:
+//   * coll::TwoDGradientSummation runs the paper's plan (PaperPlan) and
+//     reports a `summation` track umbrella with five phase spans plus the
+//     `summation.*` metrics;
+//   * ExecutePlan runs any plan and reports a `plan <name>` umbrella with one
+//     span per stage on the `plan` track plus `plan.exec.runs` and
+//     `plan.exec.total_us`.
+// Chunk-pipelined plans have no stage boundaries; ExecutePlan runs them as
+// coll::PipelinedTwoDGradientSummation.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +25,7 @@
 #include "common/units.h"
 #include "network/network.h"
 #include "plan/plan_ir.h"
+#include "plan/schedule.h"
 
 namespace tpu::plan {
 
@@ -28,42 +33,39 @@ struct PlanExecutionConfig {
   // Optional weight-update-sharding hook (see GradientSummationConfig).
   std::function<SimTime(std::int64_t owned_elems)> shard_update_seconds;
   // Optional per-stage timeout detection; expectations use the healthy
-  // network estimate, exactly like the fixed schedule's monitoring.
+  // network estimate (coll::ExpectedRingPhaseSeconds and its
+  // halving-doubling twin).
   coll::PhaseDeadlineConfig deadline;
 };
 
-struct PlanExecutionResult {
-  SimTime reduce_seconds = 0;     // stages up to the update point
-  SimTime update_seconds = 0;     // sharded weight update (0 without hook)
-  SimTime broadcast_seconds = 0;  // stages after the update point
-
-  // Per-stage wall clock in execution order (names are the stage labels,
-  // e.g. "Y-reduce-scatter"). Chunk-pipelined plans report one fused
-  // "pipelined-2d" entry — their phases overlap and have no boundaries.
+// The summation result plus the per-stage wall clock in execution order
+// (names are the stage labels, e.g. "Y-reduce-scatter"). Chunk-pipelined
+// plans report one fused "pipelined-2d" stage. The five-phase view
+// (`phase_seconds`) folds stages of other shapes into the nearest slot (flat
+// RS -> y_reduce_scatter; a pipelined run is all y_reduce_scatter).
+struct PlanExecutionResult : coll::GradientSummationResult {
   struct StageSeconds {
     const char* name = "";
     SimTime seconds = 0;
   };
   std::vector<StageSeconds> stages;
-
-  // The fixed schedule's five-phase view, filled by mapping stage names so
-  // MultipodSystem's profiler/trace plumbing works unchanged. Stages of
-  // other shapes fold into the nearest slot (flat RS -> y_reduce_scatter).
-  coll::SummationPhaseSeconds summation_phases;
-
-  std::int64_t max_owned_elems = 0;
-
-  // Monitoring (when config.deadline is enabled): communication stages in
-  // order, plus the first-detection summary, as in GradientSummationResult.
-  std::vector<coll::PhaseTiming> phases;
-  bool timed_out = false;
-  SimTime detected_at = -1.0;
-  const char* timed_out_phase = nullptr;
-
-  SimTime total() const {
-    return reduce_seconds + update_seconds + broadcast_seconds;
-  }
 };
+
+// Simulated-time boundaries of one sequential run, for the reporting front
+// ends' spans.
+struct StageTimeline {
+  SimTime start = 0;
+  std::vector<SimTime> stage_end;  // completion time of each stage
+  // End of the sharded update; stage_end[update_after] without a hook.
+  SimTime update_end = 0;
+};
+
+// Runs `lowered` (whose specs were lowered on the network's topology)
+// starting at the simulator's current time. Emits no spans or metrics.
+PlanExecutionResult RunLoweredPlan(net::Network& network,
+                                   const LoweredPlan& lowered,
+                                   const PlanExecutionConfig& config,
+                                   StageTimeline* timeline);
 
 // Runs `plan` on the network's topology starting at the simulator's current
 // time. `chip_buffers` is empty (timing-only) or one payload pointer per

@@ -8,27 +8,6 @@
 namespace tpu::plan {
 namespace {
 
-// Ring 2-D RS/AG palindrome: RS a, RS b, AG b, AG a.
-CollectivePlan TwoDPlan(PlanDim first, PlanDim second, PhaseAlgorithm algo,
-                        int stride, bool bidirectional, bool bf16) {
-  auto phase = [&](PhaseKind kind, PlanDim dim) {
-    PlanPhase p;
-    p.kind = kind;
-    p.algorithm = algo;
-    p.dim = dim;
-    p.stride = dim == PlanDim::kX ? stride : 1;
-    return p;
-  };
-  CollectivePlan plan;
-  plan.phases = {phase(PhaseKind::kReduceScatter, first),
-                 phase(PhaseKind::kReduceScatter, second),
-                 phase(PhaseKind::kAllGather, second),
-                 phase(PhaseKind::kAllGather, first)};
-  plan.bidirectional = bidirectional;
-  plan.bfloat16_wire = bf16;
-  return plan;
-}
-
 CollectivePlan ArChainPlan(PlanDim first, PlanDim second, bool bidirectional,
                            bool bf16) {
   auto phase = [&](PlanDim dim) {
@@ -56,12 +35,6 @@ CollectivePlan FlatPlan(bool bidirectional, bool bf16) {
 }
 
 }  // namespace
-
-CollectivePlan PaperPlan(const PlanRequest& request) {
-  return TwoDPlan(PlanDim::kY, PlanDim::kX, PhaseAlgorithm::kRing,
-                  request.model_parallel_stride, request.allow_bidirectional,
-                  request.allow_bfloat16);
-}
 
 std::vector<CollectivePlan> GeneratePlans(const topo::MeshTopology& topo,
                                           const PlanRequest& request) {

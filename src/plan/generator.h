@@ -27,10 +27,4 @@ namespace tpu::plan {
 std::vector<CollectivePlan> GeneratePlans(const topo::MeshTopology& topo,
                                           const PlanRequest& request);
 
-// The paper's fixed schedule as a plan: ring 2-D [Y->X] with the request's
-// stride and preferred wire options. This is what SystemOptions without the
-// planner executes (TwoDGradientSummation), and the golden plan the planner
-// is expected to rediscover on a healthy multipod.
-CollectivePlan PaperPlan(const PlanRequest& request);
-
 }  // namespace tpu::plan

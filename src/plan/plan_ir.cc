@@ -73,6 +73,32 @@ std::string CollectivePlan::name() const {
   return out;
 }
 
+CollectivePlan TwoDPlan(PlanDim first, PlanDim second, PhaseAlgorithm algorithm,
+                        int stride, bool bidirectional, bool bf16) {
+  auto phase = [&](PhaseKind kind, PlanDim dim) {
+    PlanPhase p;
+    p.kind = kind;
+    p.algorithm = algorithm;
+    p.dim = dim;
+    p.stride = dim == PlanDim::kX ? stride : 1;
+    return p;
+  };
+  CollectivePlan plan;
+  plan.phases = {phase(PhaseKind::kReduceScatter, first),
+                 phase(PhaseKind::kReduceScatter, second),
+                 phase(PhaseKind::kAllGather, second),
+                 phase(PhaseKind::kAllGather, first)};
+  plan.bidirectional = bidirectional;
+  plan.bfloat16_wire = bf16;
+  return plan;
+}
+
+CollectivePlan PaperPlan(const PlanRequest& request) {
+  return TwoDPlan(PlanDim::kY, PlanDim::kX, PhaseAlgorithm::kRing,
+                  request.model_parallel_stride, request.allow_bidirectional,
+                  request.allow_bfloat16);
+}
+
 LinkHealthSet LinkHealthSet::FromNetwork(const net::Network& network) {
   LinkHealthSet health;
   // links() is ordered by id, so both vectors come out sorted.

@@ -65,7 +65,7 @@ struct CollectivePlan {
   bool bfloat16_wire = false;
   // > 1: chunk-pipelined execution — the payload splits into `chunks` slices
   // whose phases overlap. Only the canonical ring 2-D [Y->X] shape supports
-  // pipelining (it lowers onto PipelinedTwoDGradientSummation).
+  // pipelining (it runs as coll::PipelinedTwoDGradientSummation).
   int chunks = 1;
 
   friend bool operator==(const CollectivePlan&, const CollectivePlan&) =
@@ -129,6 +129,17 @@ struct LinkHealthSet {
 
   friend bool operator==(const LinkHealthSet&, const LinkHealthSet&) = default;
 };
+
+// The RS a, RS b, AG b, AG a palindrome over two dimensions; `stride`
+// applies to the X phases.
+CollectivePlan TwoDPlan(PlanDim first, PlanDim second, PhaseAlgorithm algorithm,
+                        int stride, bool bidirectional, bool bf16);
+
+// The paper's fixed schedule as a plan: ring 2-D [Y->X] with the request's
+// stride and preferred wire options. coll::TwoDGradientSummation runs it, and
+// it is the golden plan the planner is expected to rediscover on a healthy
+// multipod.
+CollectivePlan PaperPlan(const PlanRequest& request);
 
 // Structural legality of `plan` on `topo`:
 //   * phases non-empty; a flat phase is the only phase and has stride 1;

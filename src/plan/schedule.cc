@@ -31,10 +31,9 @@ struct Group {
 };
 
 // Group enumeration order is load-bearing: it fixes the event creation order
-// of the lowered schedule, and for the ring [Y->X] shape it matches
-// TwoDGradientSummation exactly (Y groups by x ascending; X groups by y,
-// then stride offset), which is what makes planned execution bit-identical
-// to the fixed schedule.
+// of the lowered schedule (Y groups by x ascending; X groups by y, then
+// stride offset), and with it every simulated time the paper's schedule
+// reports.
 std::vector<Group> GroupsFor(const topo::MeshTopology& topo,
                              const PlanPhase& phase, bool labeled) {
   std::vector<Group> groups;

@@ -1,14 +1,14 @@
 // Lowering: CollectivePlan -> executable stages of concrete ring/group specs.
 //
-// The lowering walks the plan phase by phase, tracking which payload
-// sub-ranges every chip owns, and materializes one coll::RingSpec per
-// (group, owned range) — the exact lists TwoDGradientSummation builds by
-// hand for the paper's fixed schedule. A reduce-scatter and its mirroring
-// all-gather share one spec list (an all-gather re-runs the same groups over
-// the same ranges in reverse), and all-reduce-in-one phases expand into an
-// RS stage plus an AG stage on shared specs. Both the closed-form cost
-// estimate and the discrete-event executor consume the same LoweredPlan, so
-// they price and run the identical schedule.
+// LowerPlan is the only builder of the 2-D ring groups. It walks the plan
+// phase by phase, tracking which payload sub-ranges every chip owns, and
+// materializes one coll::RingSpec per (group, owned range). A reduce-scatter
+// and its mirroring all-gather share one spec list (an all-gather re-runs the
+// same groups over the same ranges in reverse), and all-reduce-in-one phases
+// expand into an RS stage plus an AG stage on shared specs. The closed-form
+// cost estimate, the stage runner (plan/executor.h) and the chunk-pipelined
+// summation all consume the same LoweredPlan, so they price and run the
+// identical schedule.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +27,8 @@ struct LoweredStage {
   Op op = Op::kReduceScatter;
   PhaseAlgorithm algorithm = PhaseAlgorithm::kRing;
   PlanDim dim = PlanDim::kY;
-  // Static phase label ("Y-reduce-scatter", "X-all-gather", ...), matching
-  // the names TwoDGradientSummation reports for monitored phases.
+  // Static phase label ("Y-reduce-scatter", "X-all-gather", ...), also the
+  // name of the stage's monitored phase.
   const char* name = "";
   // Shared between a reduce-scatter and its mirroring all-gather.
   std::shared_ptr<std::vector<coll::RingSpec>> specs;
@@ -46,11 +46,11 @@ struct LoweredPlan {
 };
 
 // Lowers `plan` (which must validate on `topo`) over a payload of `elems`
-// float elements per chip. `chip_buffers` is empty for timing-only lowering
-// or holds one payload pointer per chip id; spec labels are attached only
-// when a trace recorder is installed (mirroring TwoDGradientSummation).
-// Ignores plan.chunks — chunked plans execute through the pipelined 2-D
-// path, but lower sequentially for cost estimation.
+// float elements per chip, ranges starting at 0. `chip_buffers` is empty for
+// timing-only lowering or holds one payload pointer per chip id; spec labels
+// ("Y x=3", "X y=0 g1") are attached only when a trace recorder is
+// installed. Ignores plan.chunks: the pipelined summation lowers each slice
+// on its own, and chunked plans lower sequentially for cost estimation.
 LoweredPlan LowerPlan(const topo::MeshTopology& topo,
                       const CollectivePlan& plan, std::int64_t elems,
                       std::vector<float*> chip_buffers = {});

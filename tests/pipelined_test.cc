@@ -3,6 +3,10 @@
 // phases beats the sequential schedule).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <regex>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "collectives/all_reduce.h"
@@ -10,6 +14,7 @@
 #include "network/network.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
+#include "trace/trace.h"
 
 namespace tpu::coll {
 namespace {
@@ -74,6 +79,34 @@ TEST(Pipelined, WithModelParallelStride) {
       }
     }
   }
+}
+
+// Every strided X ring of every slice carries its own trace label: slice
+// index, row and model-parallel group.
+TEST(Pipelined, StridedRingsHaveDistinctTraceLabels) {
+  Rig rig(8, 4, 1, 1);
+  GradientSummationConfig config;
+  config.elems = 4096;
+  config.model_parallel_stride = 2;
+  // Mono rings: one spec per group, so each label names exactly one ring.
+  config.collective.bidirectional = false;
+  trace::TraceRecorder recorder;
+  {
+    trace::ScopedTrace scoped(&recorder);
+    PipelinedTwoDGradientSummation(rig.network, config, 2);
+  }
+  std::map<std::string, int> x_rings;  // ring span name -> occurrences
+  std::istringstream lines(recorder.ToJson());
+  const std::regex x_ring_begin(R"re("ph":"b".*"name":"(X [^"]*)")re");
+  for (std::string line; std::getline(lines, line);) {
+    std::smatch match;
+    if (std::regex_search(line, match, x_ring_begin)) ++x_rings[match[1]];
+  }
+  // 2 slices x 4 rows x 2 groups, each reduce-scattered and all-gathered.
+  EXPECT_EQ(x_rings.size(), 2u * 4 * 2 * 2);
+  for (const auto& [name, count] : x_rings) EXPECT_EQ(count, 1) << name;
+  EXPECT_EQ(x_rings.count("X s0 y=0 g0 reduce-scatter"), 1u);
+  EXPECT_EQ(x_rings.count("X s1 y=3 g1 all-gather"), 1u);
 }
 
 TEST(Pipelined, OverlapWinsWhenBandwidthBound) {

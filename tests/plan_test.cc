@@ -171,9 +171,10 @@ TEST(PlanSchedule, LoweringTracksOwnershipAndSharesSpecs) {
   EXPECT_EQ(lowered.max_owned_elems, 128);
 }
 
-// The planner's executor must replay the paper's fixed schedule event for
-// event: same reduce/update/broadcast split, same five-phase breakdown, same
-// monitored timings — bitwise, not approximately.
+// TwoDGradientSummation and ExecutePlan(PaperPlan) run the same lowering and
+// stage runner, so their results must agree bitwise: same
+// reduce/update/broadcast split, same five-phase breakdown, same monitored
+// timings. This pins each front end's mapping of the runner's result.
 void ExpectBitIdentical(const topo::TopologyConfig& config, int stride) {
   const std::int64_t elems = 1 << 20;
   auto update_cost = [](std::int64_t owned) { return owned * 1e-9; };
@@ -203,14 +204,14 @@ void ExpectBitIdentical(const topo::TopologyConfig& config, int stride) {
   EXPECT_EQ(got.update_seconds, want.update_seconds);
   EXPECT_EQ(got.broadcast_seconds, want.broadcast_seconds);
   EXPECT_EQ(got.total(), want.total());
-  EXPECT_EQ(got.summation_phases.y_reduce_scatter,
+  EXPECT_EQ(got.phase_seconds.y_reduce_scatter,
             want.phase_seconds.y_reduce_scatter);
-  EXPECT_EQ(got.summation_phases.x_reduce_scatter,
+  EXPECT_EQ(got.phase_seconds.x_reduce_scatter,
             want.phase_seconds.x_reduce_scatter);
-  EXPECT_EQ(got.summation_phases.update, want.phase_seconds.update);
-  EXPECT_EQ(got.summation_phases.x_all_gather,
+  EXPECT_EQ(got.phase_seconds.update, want.phase_seconds.update);
+  EXPECT_EQ(got.phase_seconds.x_all_gather,
             want.phase_seconds.x_all_gather);
-  EXPECT_EQ(got.summation_phases.y_all_gather,
+  EXPECT_EQ(got.phase_seconds.y_all_gather,
             want.phase_seconds.y_all_gather);
   EXPECT_EQ(got.max_owned_elems, want.max_owned_elems);
 

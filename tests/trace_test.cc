@@ -19,6 +19,8 @@
 #include "core/sweep.h"
 #include "fault/fault_injector.h"
 #include "network/network.h"
+#include "plan/executor.h"
+#include "plan/plan_ir.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 #include "trace/metrics.h"
@@ -193,6 +195,84 @@ TEST(TracedSimulation, SummationEmitsAllSixPhaseSpans) {
   EXPECT_NE(json.find("bytes_in_flight"), std::string::npos);
   // The summation closed its umbrella span.
   EXPECT_EQ(recorder.open_spans(recorder.Track("system", "summation")), 0);
+}
+
+// The paper's plan through ExecutePlan on RunSmallSummation's rig and
+// payload: the same stage runner under the planner's reporting format.
+plan::PlanExecutionResult RunSmallPlan() {
+  sim::Simulator simulator;
+  topo::MeshTopology topo(topo::TopologyConfig::Slice(4, 4, /*wrap_y=*/true));
+  net::Network network(&topo, {}, &simulator);
+  plan::PlanRequest request;
+  request.elems = 1 << 14;
+  plan::PlanExecutionConfig config;
+  config.shard_update_seconds = [](std::int64_t owned) {
+    return Seconds(static_cast<double>(owned) * 1e-9);
+  };
+  return plan::ExecutePlan(network, plan::PaperPlan(request), request.elems,
+                           config);
+}
+
+bool Has(const std::string& text, const std::string& needle) {
+  return text.find(needle) != std::string::npos;
+}
+
+// The fixed schedule reports on the `summation` track and `summation.*`
+// metrics only; ExecutePlan over the same runner reports on the `plan` track
+// and `plan.exec.*` metrics only.
+TEST(TracedSimulation, SummationReportsOnlyTheSummationFormat) {
+  trace::TraceRecorder recorder;
+  trace::MetricsRegistry metrics;
+  {
+    trace::ScopedTrace scoped_trace(&recorder);
+    trace::ScopedMetrics scoped_metrics(&metrics);
+    RunSmallSummation();
+  }
+  const std::string json = recorder.ToJson();
+  EXPECT_TRUE(Has(json, R"("args":{"name":"summation"})"));
+  EXPECT_TRUE(Has(json, R"("name":"2d-summation"})"));
+  EXPECT_FALSE(Has(json, R"("args":{"name":"plan"})"));
+  EXPECT_FALSE(Has(json, R"("name":"plan )"));
+  const std::string dump = metrics.ToJson();
+  for (const char* name :
+       {"summation.runs", "summation.total_us", "summation.y_reduce_scatter_us",
+        "summation.x_reduce_scatter_us", "summation.update_us",
+        "summation.x_all_gather_us", "summation.y_all_gather_us"}) {
+    EXPECT_TRUE(Has(dump, std::string("\"") + name + "\"")) << name;
+  }
+  EXPECT_FALSE(Has(dump, "plan.exec"));
+}
+
+TEST(TracedSimulation, ExecutePlanReportsOnlyThePlanFormat) {
+  trace::TraceRecorder recorder;
+  trace::MetricsRegistry metrics;
+  plan::PlanExecutionResult result;
+  {
+    trace::ScopedTrace scoped_trace(&recorder);
+    trace::ScopedMetrics scoped_metrics(&metrics);
+    result = RunSmallPlan();
+  }
+  const std::string json = recorder.ToJson();
+  EXPECT_TRUE(Has(json, R"("args":{"name":"plan"})"));
+  EXPECT_TRUE(Has(json, R"("name":"plan ring-2d[Y->X] bidir bf16"})"));
+  for (const char* stage : {"Y-reduce-scatter", "X-reduce-scatter",
+                            "sharded-update", "X-all-gather", "Y-all-gather"}) {
+    EXPECT_TRUE(Has(json, std::string(R"("name":")") + stage + "\"}"))
+        << stage;
+  }
+  EXPECT_EQ(recorder.open_spans(recorder.Track("system", "plan")), 0);
+  EXPECT_FALSE(Has(json, R"("args":{"name":"summation"})"));
+  EXPECT_FALSE(Has(json, "2d-summation"));
+  const std::string dump = metrics.ToJson();
+  EXPECT_TRUE(Has(dump, R"("plan.exec.runs")"));
+  EXPECT_TRUE(Has(dump, R"("plan.exec.total_us")"));
+  EXPECT_FALSE(Has(dump, "summation."));
+  // Same runner, same numbers: the formats differ only in what they report.
+  const coll::GradientSummationResult fixed = RunSmallSummation();
+  EXPECT_EQ(result.total(), fixed.total());
+  ASSERT_EQ(result.stages.size(), 4u);
+  EXPECT_EQ(result.stages[0].seconds, fixed.phase_seconds.y_reduce_scatter);
+  EXPECT_EQ(result.stages[3].seconds, fixed.phase_seconds.y_all_gather);
 }
 
 TEST(TracedSimulation, PhaseSecondsAlwaysFilledAndConsistent) {
