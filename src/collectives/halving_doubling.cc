@@ -83,24 +83,45 @@ class HdPass : public std::enable_shared_from_this<HdPass> {
     // n/2 for doubling.
     const int distance = kind_ == Kind::kHalving ? n() >> (round + 1)
                                                  : 1 << round;
+    // What rank sends this round: its partner route (resolved once per
+    // round, as each rank sends one message) and its range. Halving sends
+    // the half of the live block the *partner* keeps; doubling sends the
+    // whole block this rank currently holds.
+    auto message_at = [this, round, distance](int rank) {
+      const int partner = rank ^ distance;
+      const auto block = kind_ == Kind::kHalving ? BlockAfter(partner, round + 1)
+                                                 : BlockAfter(rank, round);
+      const Range send = ChunkSpan(range_, n(), block.first, block.second);
+      return std::pair{&network_->RouteFor(order_[rank], order_[partner]),
+                       send};
+    };
+
+    // Time-only groups complete with a bare barrier notification: the
+    // round is one wave, so same-instant arrivals share one queue entry.
+    if (data_.empty()) {
+      network_->SendWave(
+          n(),
+          [&](int rank) {
+            const auto [route, send] = message_at(rank);
+            return net::Network::WaveMessage{
+                route, send.size() * options_.wire_bytes_per_elem()};
+          },
+          [barrier] { barrier->Notify(); });
+      return;
+    }
+
     for (int rank = 0; rank < n(); ++rank) {
       const int partner = rank ^ distance;
-      // Halving sends the half of the live block the *partner* keeps;
-      // doubling sends the whole block this rank currently holds.
-      const auto send_block =
-          kind_ == Kind::kHalving ? BlockAfter(partner, round + 1)
-                                  : BlockAfter(rank, round);
-      const Range send = ChunkSpan(range_, n(), send_block.first,
-                                   send_block.second);
+      const auto [route, send] = message_at(rank);
       const Bytes wire_bytes = send.size() * options_.wire_bytes_per_elem();
 
-      // Time-only groups complete with a bare barrier notification (inline
-      // capture); data-carrying groups snapshot the outgoing values into a
-      // pooled buffer (this round's incoming data must not contaminate what
-      // travels within the same round).
-      if (data_.empty() || send.size() == 0) {
-        network_->Send(order_[rank], order_[partner], wire_bytes,
-                       [barrier] { barrier->Notify(); });
+      // Data-carrying groups snapshot the outgoing values into a pooled
+      // buffer (this round's incoming data must not contaminate what travels
+      // within the same round); an empty block carries only the
+      // notification.
+      if (send.size() == 0) {
+        network_->SendAlong(*route, wire_bytes,
+                            [barrier] { barrier->Notify(); });
         continue;
       }
       PayloadPool::Handle payload = PayloadPool::ThisThread().Snapshot(
@@ -113,21 +134,22 @@ class HdPass : public std::enable_shared_from_this<HdPass> {
       }
       float* const out = data_[partner] + send.begin;
       if (kind_ == Kind::kHalving) {
-        network_->Send(order_[rank], order_[partner], wire_bytes,
-                       [barrier, payload = std::move(payload), out] {
-                         const float* p = payload.data();
-                         for (std::size_t i = 0; i < payload.size(); ++i) {
-                           out[i] += p[i];
-                         }
-                         barrier->Notify();
-                       });
+        network_->SendAlong(*route, wire_bytes,
+                            [barrier, payload = std::move(payload), out] {
+                              const float* p = payload.data();
+                              for (std::size_t i = 0; i < payload.size();
+                                   ++i) {
+                                out[i] += p[i];
+                              }
+                              barrier->Notify();
+                            });
       } else {
-        network_->Send(order_[rank], order_[partner], wire_bytes,
-                       [barrier, payload = std::move(payload), out] {
-                         std::copy(payload.data(),
-                                   payload.data() + payload.size(), out);
-                         barrier->Notify();
-                       });
+        network_->SendAlong(*route, wire_bytes,
+                            [barrier, payload = std::move(payload), out] {
+                              std::copy(payload.data(),
+                                        payload.data() + payload.size(), out);
+                              barrier->Notify();
+                            });
       }
     }
   }

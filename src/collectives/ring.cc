@@ -100,18 +100,37 @@ class RingPass : public std::enable_shared_from_this<RingPass> {
 
     // SendChunkIndex(rank, step) advances by one (mod n) per rank.
     int chunk_index = SendChunkIndex(0, step);
-    for (int rank = 0; rank < n(); ++rank) {
-      const net::Network::CachedRoute& route = *routes_[rank];
+    auto next_chunk = [this, &chunk_index] {
       const Range chunk = chunks_[chunk_index];
       if (++chunk_index == n()) chunk_index = 0;
+      return chunk;
+    };
+
+    // Time-only rings (no data pointers) complete with a bare barrier
+    // notification: the whole step is one wave, so ranks whose messages
+    // arrive at the same instant share one counted queue entry.
+    if (data_.empty()) {
+      network_->SendWave(
+          n(),
+          [this, &next_chunk](int rank) {
+            return net::Network::WaveMessage{
+                routes_[rank],
+                next_chunk().size() * options_.wire_bytes_per_elem()};
+          },
+          [barrier] { barrier->Notify(); });
+      return;
+    }
+
+    for (int rank = 0; rank < n(); ++rank) {
+      const net::Network::CachedRoute& route = *routes_[rank];
+      const Range chunk = next_chunk();
       const Bytes wire_bytes = chunk.size() * options_.wire_bytes_per_elem();
 
-      // Time-only rings (no data pointers) complete with a bare barrier
-      // notification — the capture is two pointers, stored inline in the
-      // event. Data-carrying rings snapshot the outgoing values now (this
-      // step's incoming data must not contaminate what we forward within the
-      // same step) into a pooled buffer the callback owns.
-      if (data_.empty() || chunk.size() == 0) {
+      // Data-carrying rings snapshot the outgoing values now (this step's
+      // incoming data must not contaminate what we forward within the same
+      // step) into a pooled buffer the callback owns; an empty chunk carries
+      // only the notification.
+      if (chunk.size() == 0) {
         network_->SendAlong(route, wire_bytes,
                             [barrier] { barrier->Notify(); });
         continue;

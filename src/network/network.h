@@ -10,6 +10,7 @@
 // where each physical link carries two ring edges.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <utility>
@@ -116,6 +117,49 @@ class Network {
       // it crossed, and where each hop's time went.
       observer->OnMessage(seq, std::move(message_record_));
     }
+  }
+
+  // One message of a wave: its resolved route and its size.
+  struct WaveMessage {
+    const CachedRoute* route;
+    Bytes bytes;
+  };
+
+  // Sends `count` messages in one synchronous loop, message i being
+  // message_at(i) (called once per i, in order); `on_done` runs once per
+  // message, at its arrival. Links are reserved in message order, exactly
+  // as a SendAlong loop would. Only the queue differs: consecutive messages
+  // that arrive at the same instant share one counted entry
+  // (Simulator::ScheduleAt with copies, holding one copy of `on_done`),
+  // which has the seqs, counters and extraction order the per-message
+  // events would have had. Under an EventObserver every run has length 1,
+  // so each message keeps its own completion event and MessageRecord.
+  template <typename MessageAt, typename F>
+  void SendWave(int count, MessageAt&& message_at, const F& on_done) {
+    sim::EventObserver* observer = sim::CurrentEventObserver();
+    const std::uint32_t cap =
+        observer != nullptr ? 1 : sim::Simulator::kMaxCopies;
+    SimTime when = 0.0;
+    std::uint32_t copies = 0;
+    auto flush = [&] {
+      const std::uint64_t seq = simulator_->ScheduleAt(when, copies, on_done);
+      if (observer != nullptr) {
+        observer->OnMessage(seq, std::move(message_record_));
+      }
+      copies = 0;
+    };
+    for (int i = 0; i < count; ++i) {
+      const WaveMessage message = message_at(i);
+      const SimTime arrival = Transmit(*message.route, message.bytes);
+      // Bitwise, not ==: -0.0 and +0.0 must not share an entry's `when`.
+      if (copies > 0 && std::bit_cast<std::uint64_t>(arrival) !=
+                            std::bit_cast<std::uint64_t>(when)) {
+        flush();
+      }
+      when = arrival;
+      if (++copies == cap) flush();
+    }
+    if (copies > 0) flush();
   }
 
   // The route from `from` to `to`, resolved on first use. Routes depend

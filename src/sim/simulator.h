@@ -9,6 +9,9 @@
 // recycled pool blocks — see event_callback.h) and pending events sit in a
 // timestamp-run queue (run_queue.h) that extracts in exact (when, seq)
 // order. Each callback is built once, in its queue slot, and runs there.
+// One slot may also stand for an arrival wave: k events with consecutive
+// seqs at one instant that run the same callable (ScheduleAt with copies),
+// so a ring step's same-instant completions cost one push and one pop.
 // A Simulator and everything it schedules is confined to one thread;
 // independent Simulators on different threads do not share state, which is
 // what lets sweeps and planner searches run points in parallel with
@@ -50,23 +53,44 @@ class Simulator {
   // (a Callback argument is moved in once) and later runs in place.
   template <typename F>
   std::uint64_t ScheduleAt(SimTime when, F&& f) {
+    return ScheduleAt(when, 1, std::forward<F>(f));
+  }
+
+  // Largest `copies` one ScheduleAt call takes.
+  static constexpr std::uint32_t kMaxCopies = 0xffff;
+
+  // Schedules `copies` events at `when` that all run `f`: one queue entry
+  // standing for `copies` consecutive seqs, the first of which it returns.
+  // The entry runs `f` once per copy, in seq order, and is indistinguishable
+  // from scheduling `f` that many times in a row: every counter, depth and
+  // observer callback reads as if each copy were its own event. That holds
+  // because the seqs are consecutive — nothing, not even a telemetry tick,
+  // can order between them — and they share one `when`, so a RunUntil
+  // deadline takes all of them or none. The callable runs `copies` times in
+  // place (it is never copied); pool statistics count it once.
+  template <typename F>
+  std::uint64_t ScheduleAt(SimTime when, std::uint32_t copies, F&& f) {
     TPU_CHECK_GE(when, now_);
-    const std::uint64_t seq = next_seq_++;
+    TPU_CHECK(copies >= 1 && copies <= kMaxCopies) << copies << " copies";
+    const std::uint64_t seq = TakeSeqs(copies);
     Event& event = queue_.Push(when);
     event.seq = seq;
+    event.copies = copies;
     event.cb.Emplace(std::forward<F>(f));
     if (event.cb.storage() == EventCallback::Storage::kInline) {
-      ++callbacks_inline_;
+      callbacks_inline_ += copies;
     } else {
-      ++callbacks_pooled_;
+      callbacks_pooled_ += copies;
     }
-    ++events_scheduled_;
+    events_scheduled_ += copies;
     // Pending telemetry events share the queue but not the accounting: the
     // work-event high-water mark must read the same with sampling on or off.
-    const std::size_t depth = queue_.size() - telemetry_seqs_.size();
-    if (depth > peak_queue_depth_) peak_queue_depth_ = depth;
+    pending_ += copies;
+    if (pending_ > peak_queue_depth_) peak_queue_depth_ = pending_;
     if (EventObserver* observer = CurrentEventObserver()) {
-      observer->OnSchedule(seq, current_seq_, now_, when);
+      for (std::uint32_t i = 0; i < copies; ++i) {
+        observer->OnSchedule(seq + i, current_seq_, now_, when);
+      }
     }
     return seq;
   }
@@ -82,7 +106,7 @@ class Simulator {
   template <typename F>
   std::uint64_t ScheduleTelemetryAt(SimTime when, F&& f) {
     TPU_CHECK_GE(when, now_);
-    const std::uint64_t seq = next_seq_++;
+    const std::uint64_t seq = TakeSeqs(1);
     Event& event = queue_.Push(when);
     event.seq = seq;
     event.cb.Emplace(std::forward<F>(f));
@@ -125,9 +149,7 @@ class Simulator {
   std::size_t peak_queue_depth() const { return peak_queue_depth_; }
   // Pending work events right now (telemetry-class events excluded) — the
   // quantity the telemetry sampler itself records as "sim.queue_depth".
-  std::size_t queue_depth() const {
-    return queue_.size() - telemetry_seqs_.size();
-  }
+  std::size_t queue_depth() const { return pending_; }
   // Telemetry-class events, accounted separately from the user-visible
   // events_scheduled()/events_processed() counters.
   std::uint64_t telemetry_events_scheduled() const {
@@ -159,12 +181,26 @@ class Simulator {
   std::uint64_t queue_refills() const { return 0; }
 
  private:
+  // One queue entry: a single event, or `copies` events with consecutive
+  // seqs from `seq` that run the same callback (ScheduleAt with copies).
+  // The two share one word so an entry stays one 64-byte cache line.
   struct Event {
     SimTime when = 0.0;
     // Tie-break: equal-time events run in schedule order.
-    std::uint64_t seq = 0;
+    std::uint64_t seq : 48 = 0;
+    std::uint64_t copies : 16 = 1;
     Callback cb;
   };
+  static_assert(sizeof(Event) == 64, "an event is one cache line");
+
+  // Seqs fit Event::seq's 48 bits: 2.8e14 events, days of simulation at
+  // any event rate this core reaches.
+  std::uint64_t TakeSeqs(std::uint32_t copies) {
+    const std::uint64_t seq = next_seq_;
+    next_seq_ += copies;
+    TPU_CHECK_LE(next_seq_, std::uint64_t{1} << 48) << "seq space exhausted";
+    return seq;
+  }
 
   void Step() {
     // The event runs in its slot, which stays reserved until the callback
@@ -183,18 +219,25 @@ class Simulator {
       ++telemetry_events_processed_;
       ev.cb();
     } else {
-      ++events_processed_;
-      if (EventObserver* observer = CurrentEventObserver()) {
-        // Events scheduled by ev.cb() are causally ev's children;
-        // current_seq_ only matters (and is only maintained) while an
-        // observer is installed, so the disabled-path cost stays one load
-        // and branch.
-        current_seq_ = static_cast<std::int64_t>(ev.seq);
-        observer->OnFire(ev.seq, ev.when);
-        ev.cb();
-        current_seq_ = EventObserver::kNoEvent;
-      } else {
-        ev.cb();
+      // Each copy leaves the pending count and joins the processed count
+      // just before it runs, exactly as its own event would.
+      const std::uint64_t first = ev.seq;
+      const std::uint32_t copies = ev.copies;
+      for (std::uint32_t i = 0; i < copies; ++i) {
+        --pending_;
+        ++events_processed_;
+        if (EventObserver* observer = CurrentEventObserver()) {
+          // Events scheduled by ev.cb() are causally this copy's children;
+          // current_seq_ only matters (and is only maintained) while an
+          // observer is installed, so the disabled-path cost stays one load
+          // and branch.
+          current_seq_ = static_cast<std::int64_t>(first + i);
+          observer->OnFire(first + i, ev.when);
+          ev.cb();
+          current_seq_ = EventObserver::kNoEvent;
+        } else {
+          ev.cb();
+        }
       }
     }
     queue_.Release(slot);
@@ -218,6 +261,7 @@ class Simulator {
   std::int64_t current_seq_ = EventObserver::kNoEvent;
   std::uint64_t events_processed_ = 0;
   std::uint64_t events_scheduled_ = 0;
+  std::size_t pending_ = 0;  // work events scheduled and not yet run
   std::size_t peak_queue_depth_ = 0;
   std::uint64_t callbacks_inline_ = 0;
   std::uint64_t callbacks_pooled_ = 0;

@@ -360,7 +360,10 @@ TEST(Determinism, PlannerSearchOnDegradedSliceIsThreadCountInvariant) {
 
 TEST(Determinism, FourPodTimeOnlySummationHoldsItsEventCountAndTime) {
   // A time-only 2-D summation on four 16x16 pods over the default network,
-  // held to exact values: the work-event count and the simulated time.
+  // held to exact values: the work-event accounting and the simulated time.
+  // Its ring steps complete in arrival waves that share counted queue
+  // entries, which re-derive every counter below from per-copy arithmetic;
+  // each must still read what one event per message gave.
   topo::TopologyConfig shape;
   shape.pod_size_x = 16;
   shape.pod_size_y = 16;
@@ -372,6 +375,10 @@ TEST(Determinism, FourPodTimeOnlySummationHoldsItsEventCountAndTime) {
   config.elems = 25'600'000;
   const auto result = coll::TwoDGradientSummation(network, config);
   EXPECT_EQ(simulator.events_processed(), 577536u);
+  EXPECT_EQ(simulator.events_scheduled(), 577536u);
+  EXPECT_EQ(simulator.peak_queue_depth(), 4096u);
+  EXPECT_EQ(simulator.callbacks_inline(), 577536u);
+  EXPECT_EQ(simulator.callbacks_pooled(), 0u);
   EXPECT_EQ(ToMillis(result.total()), 1.9597142857142786);
 }
 

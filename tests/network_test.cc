@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -154,6 +156,41 @@ class MessageLog : public sim::EventObserver {
   std::vector<std::pair<std::uint64_t, sim::MessageRecord>> messages;
 };
 
+void ExpectSameTraffic(const TrafficStats& a, const TrafficStats& b) {
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.mesh_x_bytes, b.mesh_x_bytes);
+  EXPECT_EQ(a.mesh_y_bytes, b.mesh_y_bytes);
+  EXPECT_EQ(a.wrap_y_bytes, b.wrap_y_bytes);
+  EXPECT_EQ(a.cross_pod_x_bytes, b.cross_pod_x_bytes);
+}
+
+// Every completion seq and message record, field by field.
+void ExpectSameMessages(const MessageLog& a, const MessageLog& b) {
+  ASSERT_EQ(a.messages.size(), b.messages.size());
+  for (std::size_t i = 0; i < a.messages.size(); ++i) {
+    const auto& [seq_a, rec_a] = a.messages[i];
+    const auto& [seq_b, rec_b] = b.messages[i];
+    EXPECT_EQ(seq_a, seq_b);
+    EXPECT_EQ(rec_a.from, rec_b.from);
+    EXPECT_EQ(rec_a.to, rec_b.to);
+    EXPECT_EQ(rec_a.bytes, rec_b.bytes);
+    EXPECT_EQ(rec_a.overhead, rec_b.overhead);
+    ASSERT_EQ(rec_a.hops.size(), rec_b.hops.size());
+    for (std::size_t h = 0; h < rec_a.hops.size(); ++h) {
+      const sim::MessageHopRecord& x = rec_a.hops[h];
+      const sim::MessageHopRecord& y = rec_b.hops[h];
+      EXPECT_EQ(x.link, y.link);
+      EXPECT_EQ(x.pod, y.pod);
+      EXPECT_STREQ(x.type_name, y.type_name);
+      EXPECT_EQ(x.queue, y.queue);
+      EXPECT_EQ(x.serialize, y.serialize);
+      EXPECT_EQ(x.healthy_serialize, y.healthy_serialize);
+      EXPECT_EQ(x.latency, y.latency);
+      EXPECT_EQ(x.start, y.start);
+    }
+  }
+}
+
 // One network driven through Send or through SendAlong on routes resolved
 // up front; everything observable must match.
 struct SendRig {
@@ -208,13 +245,7 @@ TEST(NetworkSendAlong, MatchesSendOnHealthyDegradedAndFailedLinks) {
   EXPECT_EQ(sent.arrivals, along.arrivals);
   EXPECT_EQ(sent.simulator.events_processed(),
             along.simulator.events_processed());
-  const TrafficStats& a = sent.network.traffic();
-  const TrafficStats& b = along.network.traffic();
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.mesh_x_bytes, b.mesh_x_bytes);
-  EXPECT_EQ(a.mesh_y_bytes, b.mesh_y_bytes);
-  EXPECT_EQ(a.wrap_y_bytes, b.wrap_y_bytes);
-  EXPECT_EQ(a.cross_pod_x_bytes, b.cross_pod_x_bytes);
+  ExpectSameTraffic(sent.network.traffic(), along.network.traffic());
   for (const topo::Link& link : topo.links()) {
     EXPECT_EQ(sent.network.LinkUtilization(link.id),
               along.network.LinkUtilization(link.id));
@@ -223,33 +254,104 @@ TEST(NetworkSendAlong, MatchesSendOnHealthyDegradedAndFailedLinks) {
   // something, so all three link states were exercised.
   EXPECT_GT(sent.simulator.now(), Network::kFailedLinkStall);
 
-  ASSERT_EQ(sent.log.messages.size(), along.log.messages.size());
   ASSERT_EQ(sent.log.messages.size(), 15u);
+  ExpectSameMessages(sent.log, along.log);
   bool degraded_hop = false;
-  for (std::size_t i = 0; i < sent.log.messages.size(); ++i) {
-    const auto& [seq_a, rec_a] = sent.log.messages[i];
-    const auto& [seq_b, rec_b] = along.log.messages[i];
-    EXPECT_EQ(seq_a, seq_b);
-    EXPECT_EQ(rec_a.from, rec_b.from);
-    EXPECT_EQ(rec_a.to, rec_b.to);
-    EXPECT_EQ(rec_a.bytes, rec_b.bytes);
-    EXPECT_EQ(rec_a.overhead, rec_b.overhead);
-    ASSERT_EQ(rec_a.hops.size(), rec_b.hops.size());
-    for (std::size_t h = 0; h < rec_a.hops.size(); ++h) {
-      const sim::MessageHopRecord& x = rec_a.hops[h];
-      const sim::MessageHopRecord& y = rec_b.hops[h];
-      EXPECT_EQ(x.link, y.link);
-      EXPECT_EQ(x.pod, y.pod);
-      EXPECT_STREQ(x.type_name, y.type_name);
-      EXPECT_EQ(x.queue, y.queue);
-      EXPECT_EQ(x.serialize, y.serialize);
-      EXPECT_EQ(x.healthy_serialize, y.healthy_serialize);
-      EXPECT_EQ(x.latency, y.latency);
-      EXPECT_EQ(x.start, y.start);
-      if (x.serialize == 3.0 * x.healthy_serialize) degraded_hop = true;
+  for (const auto& [seq, record] : sent.log.messages) {
+    for (const sim::MessageHopRecord& hop : record.hops) {
+      if (hop.serialize == 3.0 * hop.healthy_serialize) degraded_hop = true;
     }
   }
   EXPECT_TRUE(degraded_hop);
+}
+
+// One network driven through SendWave, or through a SendAlong loop over the
+// same messages: every chip messages its +X and then its +Y neighbour, most
+// messages the same size, so runs of them arrive at the same instant.
+struct WaveRig {
+  explicit WaveRig(const topo::MeshTopology* topo)
+      : network(topo, NetworkConfig{}, &simulator) {}
+
+  void Run(bool wave, bool observed) {
+    const topo::MeshTopology& topo = network.topology();
+    std::vector<const Network::CachedRoute*> routes;
+    for (const bool along_y : {false, true}) {
+      for (topo::ChipId chip = 0; chip < topo.num_chips(); ++chip) {
+        topo::Coord to = topo.CoordOf(chip);
+        if (along_y) {
+          to.y = (to.y + 1) % topo.size_y();
+        } else {
+          to.x = (to.x + 1) % topo.size_x();
+        }
+        routes.push_back(&network.RouteFor(chip, topo.ChipAt(to)));
+      }
+    }
+    network.DegradeLink(topo.LinkBetween(topo.ChipAt({1, 0}),
+                                         topo.ChipAt({2, 0})), 3.0);
+    network.FailLink(topo.LinkBetween(topo.ChipAt({3, 1}),
+                                      topo.ChipAt({3, 2})));
+    std::optional<sim::ScopedEventObserver> scope;
+    if (observed) scope.emplace(&log);
+    for (int round = 0; round < 3; ++round) {
+      const auto message_at = [&routes, round](int i) {
+        return Network::WaveMessage{routes[i],
+                                    i % 7 == 6 ? 4000 : 1000 + round};
+      };
+      const auto record = [this] { arrivals.push_back(simulator.now()); };
+      const int count = static_cast<int>(routes.size());
+      if (wave) {
+        network.SendWave(count, message_at, record);
+      } else {
+        for (int i = 0; i < count; ++i) {
+          const Network::WaveMessage message = message_at(i);
+          network.SendAlong(*message.route, message.bytes, record);
+        }
+      }
+      // The seq after the wave's: the wave took exactly one per message.
+      next_seqs.push_back(simulator.Schedule(0.0, [] {}));
+      simulator.Run();
+    }
+  }
+
+  sim::Simulator simulator;
+  Network network;
+  MessageLog log;
+  std::vector<SimTime> arrivals;
+  std::vector<std::uint64_t> next_seqs;
+};
+
+TEST(NetworkSendWave, MatchesASendAlongLoopOnHealthyDegradedAndFailedLinks) {
+  const topo::MeshTopology topo(topo::TopologyConfig::Slice(4, 4, true));
+  for (const bool observed : {false, true}) {
+    SCOPED_TRACE(observed ? "observed" : "unobserved");
+    WaveRig wave(&topo), loop(&topo);
+    wave.Run(/*wave=*/true, observed);
+    loop.Run(/*wave=*/false, observed);
+
+    EXPECT_EQ(wave.arrivals, loop.arrivals);
+    EXPECT_EQ(wave.next_seqs, loop.next_seqs);
+    EXPECT_EQ(wave.simulator.events_processed(),
+              loop.simulator.events_processed());
+    EXPECT_EQ(wave.simulator.events_scheduled(),
+              loop.simulator.events_scheduled());
+    EXPECT_EQ(wave.simulator.peak_queue_depth(),
+              loop.simulator.peak_queue_depth());
+    EXPECT_EQ(wave.simulator.callbacks_inline(),
+              loop.simulator.callbacks_inline());
+    ExpectSameTraffic(wave.network.traffic(), loop.network.traffic());
+    for (const topo::Link& link : topo.links()) {
+      EXPECT_EQ(wave.network.LinkUtilization(link.id),
+                loop.network.LinkUtilization(link.id));
+    }
+    // Same-instant runs formed, and the failed link stalled a message.
+    EXPECT_EQ(wave.arrivals.size(), 3u * 32u);
+    EXPECT_NE(std::adjacent_find(wave.arrivals.begin(), wave.arrivals.end()),
+              wave.arrivals.end());
+    EXPECT_GT(wave.simulator.now(), Network::kFailedLinkStall);
+
+    ASSERT_EQ(wave.log.messages.size(), observed ? 3u * 32u : 0u);
+    ExpectSameMessages(wave.log, loop.log);
+  }
 }
 
 TEST(NetworkRouteFor, ReferencesStayValidAsTheCacheGrows) {

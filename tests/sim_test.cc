@@ -8,6 +8,7 @@
 #include <memory>
 #include <queue>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "network/network.h"
@@ -373,6 +374,180 @@ TEST(RunQueue, MatchesAReferenceHeapUnderChurn) {
     }
     EXPECT_TRUE(queue.empty());
   }
+}
+
+// A seeded workload of arrival waves: groups of same-instant events that run
+// one callable. With `counted` each wave is one ScheduleAt(when, copies, f)
+// entry; without, the same wave is `copies` ScheduleAt calls in a row. Every
+// fire logs its id (which is its seq), the clock and queue_depth(), and
+// draws its children from the RNG in fire order, so the two modes log the
+// same stream iff counted entries are indistinguishable from the events
+// they stand for.
+class WaveWorkload {
+ public:
+  WaveWorkload(bool counted, std::uint64_t seed)
+      : counted_(counted), rng_(seed) {}
+
+  void Drive() {
+    using Policy = Simulator::DeadlinePolicy;
+    AddWave(0.0, 5);
+    AddTick(0.0);  // a telemetry tick at the first wave's instant
+    AddWave(0.0, 3);
+    AddWave(kGrid, 4);
+    for (int stage = 1; stage <= 6; ++stage) {
+      // Deadlines fall exactly on grid instants, where waves and ticks land:
+      // a counted entry must run whole or not at all.
+      const SimTime deadline = stage * 3 * kGrid;
+      simulator_.RunUntil(deadline, stage % 2 == 0
+                                        ? Policy::kStopAtLastEvent
+                                        : Policy::kAdvanceToDeadline);
+      AddWave(deadline, 1 + static_cast<std::uint32_t>(rng_() % 6));
+      AddWave(deadline + kGrid, 2);
+    }
+    simulator_.Run();
+  }
+
+  struct Fire {
+    std::uint64_t id;
+    SimTime when;
+    std::size_t depth;
+    bool telemetry;
+    friend bool operator==(const Fire&, const Fire&) = default;
+  };
+  const std::vector<Fire>& log() const { return log_; }
+  const Simulator& simulator() const { return simulator_; }
+  std::uint64_t scheduled() const { return next_id_; }
+
+ private:
+  static constexpr SimTime kGrid = 2.5e-7;
+  static constexpr std::uint64_t kBudget = 6000;
+
+  void AddWave(SimTime when, std::uint32_t copies) {
+    const std::uint64_t first = next_id_;
+    next_id_ += copies;
+    if (counted_) {
+      EXPECT_EQ(simulator_.ScheduleAt(when, copies,
+                                      [this, first, i = std::uint64_t{0}]()
+                                          mutable { Run(first + i++); }),
+                first);
+      return;
+    }
+    for (std::uint32_t i = 0; i < copies; ++i) {
+      EXPECT_EQ(simulator_.ScheduleAt(when, [this, id = first + i] { Run(id); }),
+                first + i);
+    }
+  }
+
+  void AddTick(SimTime when) {
+    const std::uint64_t id = next_id_++;
+    simulator_.ScheduleTelemetryAt(when, [this, id] {
+      log_.push_back({id, simulator_.now(), simulator_.queue_depth(), true});
+      if (++ticks_ < 48) AddTick(simulator_.now() + kGrid);
+    });
+  }
+
+  void Run(std::uint64_t id) {
+    const SimTime now = simulator_.now();
+    log_.push_back({id, now, simulator_.queue_depth(), false});
+    if (next_id_ >= kBudget) return;
+    const int children = static_cast<int>(rng_() % 3);
+    for (int c = 0; c < children; ++c) {
+      const auto copies = 1 + static_cast<std::uint32_t>(rng_() % 9);
+      switch (rng_() % 4) {
+        case 0:  // delay 0: behind the rest of the running wave
+          AddWave(now, copies);
+          break;
+        case 1:  // a later grid instant, shared with ticks and other waves
+          AddWave((std::floor(now / kGrid) + 1.0 +
+                   static_cast<double>(rng_() % 3)) * kGrid, copies);
+          break;
+        case 2:
+          AddWave(now + static_cast<double>(rng_() >> 11) * 0x1.0p-53 * 1e-6,
+                  copies);
+          break;
+        default:  // a single event
+          AddWave(now + kGrid, 1);
+      }
+    }
+  }
+
+  bool counted_;
+  std::mt19937_64 rng_;
+  Simulator simulator_;
+  std::uint64_t next_id_ = 0;
+  int ticks_ = 0;
+  std::vector<Fire> log_;
+};
+
+TEST(Simulator, CountedEntriesMatchEventsScheduledOneAtATime) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE(seed);
+    WaveWorkload counted(/*counted=*/true, seed);
+    counted.Drive();
+    WaveWorkload single(/*counted=*/false, seed);
+    single.Drive();
+
+    ASSERT_EQ(counted.log().size(), single.log().size());
+    for (std::size_t i = 0; i < counted.log().size(); ++i) {
+      ASSERT_EQ(counted.log()[i], single.log()[i]) << "fire " << i;
+    }
+    EXPECT_EQ(counted.log().size(), counted.scheduled());
+    const Simulator& a = counted.simulator();
+    const Simulator& b = single.simulator();
+    EXPECT_GT(a.events_processed(), 1000u);
+    EXPECT_EQ(a.events_processed(), b.events_processed());
+    EXPECT_EQ(a.events_scheduled(), b.events_scheduled());
+    EXPECT_EQ(a.peak_queue_depth(), b.peak_queue_depth());
+    EXPECT_EQ(a.callbacks_inline(), b.callbacks_inline());
+    EXPECT_EQ(a.callbacks_pooled(), b.callbacks_pooled());
+    EXPECT_EQ(a.telemetry_events_processed(), 48u);
+    EXPECT_EQ(a.queue_depth(), 0u);
+    EXPECT_EQ(a.now(), b.now());
+  }
+}
+
+// Records every observer callback as text, in call order.
+class ObserverLog : public EventObserver {
+ public:
+  void OnSchedule(std::uint64_t seq, std::int64_t parent, SimTime now,
+                  SimTime when) override {
+    lines.push_back("schedule " + std::to_string(seq) + " " +
+                    std::to_string(parent) + " " + std::to_string(now) +
+                    " " + std::to_string(when));
+  }
+  void OnFire(std::uint64_t seq, SimTime when) override {
+    lines.push_back("fire " + std::to_string(seq) + " " +
+                    std::to_string(when));
+  }
+  std::vector<std::string> lines;
+};
+
+TEST(Simulator, ObserversSeeEachCopyOfACountedEntry) {
+  std::vector<std::string> logs[2];
+  for (const bool counted : {false, true}) {
+    ObserverLog log;
+    ScopedEventObserver scope(&log);
+    Simulator simulator;
+    int runs = 0;
+    auto wave = [&](SimTime when, std::uint32_t copies) {
+      auto f = [&simulator, &runs] {
+        // The second copy's child is causally the second copy's.
+        if (++runs == 2) simulator.Schedule(0.0, [] {});
+      };
+      if (counted) {
+        simulator.ScheduleAt(when, copies, f);
+      } else {
+        for (std::uint32_t i = 0; i < copies; ++i) simulator.ScheduleAt(when, f);
+      }
+    };
+    wave(1.0, 3);
+    wave(1.0, 2);
+    simulator.Run();
+    EXPECT_EQ(runs, 5);
+    logs[counted] = log.lines;
+  }
+  EXPECT_EQ(logs[0], logs[1]);
+  EXPECT_EQ(logs[1].size(), 2u * 6u);
 }
 
 TEST(Simulator, CallbacksOwnMoveOnlyCaptures) {
