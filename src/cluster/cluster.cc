@@ -117,13 +117,12 @@ std::shared_ptr<ClusterSimulation::ShapePricing> ClusterSimulation::PricingFor(
   pricing->request.allow_bfloat16 = config_.system.bfloat16_gradients;
   pricing->request.allow_bidirectional = config_.system.bidirectional_rings;
   pricing->request.search_threads = config_.recovery.search_threads;
-  const plan::CollectivePlan paper = plan::PaperPlan(pricing->request);
-  pricing->lowered =
-      plan::LowerPlan(*pricing->topo, paper, pricing->request.elems);
   {
     SilencedScope silence;
-    pricing->comm_healthy = plan::EstimatePlanSeconds(
-        *pricing->topo, config_.system.network, {}, pricing->lowered);
+    pricing->comm = std::make_unique<plan::PlanRepricer>(
+        *pricing->topo, config_.system.network,
+        plan::LowerPlan(*pricing->topo, plan::PaperPlan(pricing->request),
+                        pricing->request.elems));
   }
   pricing->detection_deadline =
       fault::HealthMonitor(config_.monitor).DeadlineFor(pricing->healthy_step);
@@ -174,12 +173,20 @@ int ClusterSimulation::running_jobs() const {
   return count;
 }
 
-int ClusterSimulation::queued_jobs() const {
-  int count = 0;
-  for (const JobState& job : jobs_) {
-    count += job.submitted && job.outcome.state == kQueued;
-  }
-  return count;
+bool ClusterSimulation::QueuedBefore(int a, int b) const {
+  const JobSpec& ja = jobs_[a].spec;
+  const JobSpec& jb = jobs_[b].spec;
+  if (ja.priority != jb.priority) return ja.priority > jb.priority;
+  if (ja.arrival != jb.arrival) return ja.arrival < jb.arrival;
+  return a < b;
+}
+
+void ClusterSimulation::Enqueue(int job) {
+  queue_.insert(std::upper_bound(queue_.begin(), queue_.end(), job,
+                                 [this](int a, int b) {
+                                   return QueuedBefore(a, b);
+                                 }),
+                job);
 }
 
 ClusterReport ClusterSimulation::Run() {
@@ -298,33 +305,45 @@ ClusterReport ClusterSimulation::Run() {
 
 void ClusterSimulation::OnSubmit(int job) {
   JobState& state = jobs_[job];
-  state.submitted = true;
   state.queued_since = sim_.now();
+  Enqueue(job);
   RecordEvent("submit", job, {});
   SchedulePass();
 }
 
 void ClusterSimulation::SchedulePass() {
   const SimTime now = sim_.now();
+  // Two phases: every wake-up for a job still writing its preemption
+  // checkpoint is scheduled before any admission. The ready jobs are
+  // snapshotted in queue order, since admissions and requeues edit queue_.
   std::vector<int> ready;
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    JobState& job = jobs_[i];
-    if (!job.submitted || job.outcome.state != kQueued) continue;
-    if (job.ready_at > now) {
-      // Still writing its preemption checkpoint: wake the scheduler then.
-      sim_.ScheduleAt(job.ready_at, [this] { SchedulePass(); });
+  for (const int i : queue_) {
+    if (jobs_[i].ready_at > now) {
+      sim_.ScheduleAt(jobs_[i].ready_at, [this] { SchedulePass(); });
       continue;
     }
-    ready.push_back(static_cast<int>(i));
+    ready.push_back(i);
   }
   if (ready.empty()) return;
-  std::sort(ready.begin(), ready.end(), [this](int a, int b) {
-    const JobSpec& ja = jobs_[a].spec;
-    const JobSpec& jb = jobs_[b].spec;
-    if (ja.priority != jb.priority) return ja.priority > jb.priority;
-    if (ja.arrival != jb.arrival) return ja.arrival < jb.arrival;
-    return a < b;
-  });
+
+  // Shapes that found no slot. Allocations, dead chips and dead links only
+  // take slots away, so a failed shape keeps failing until a release or a
+  // shrink moves the scheduler's free epoch.
+  std::vector<std::pair<int, int>> unfit;
+  std::uint64_t unfit_epoch = scheduler_.free_epoch();
+  const auto find_slot = [&](int w, int h) {
+    if (scheduler_.free_epoch() != unfit_epoch) {
+      unfit.clear();
+      unfit_epoch = scheduler_.free_epoch();
+    }
+    const std::pair<int, int> shape{w, h};
+    if (std::find(unfit.begin(), unfit.end(), shape) != unfit.end()) {
+      return topo::SubmeshRect{};
+    }
+    const topo::SubmeshRect slot = scheduler_.FindSlot(w, h, config_.policy);
+    if (slot.empty()) unfit.push_back(shape);
+    return slot;
+  };
 
   bool head = true;
   for (const int index : ready) {
@@ -334,7 +353,7 @@ void ClusterSimulation::SchedulePass() {
     if (job.outcome.state != kQueued) continue;
     const int w = job.spec.size_x;
     const int h = job.spec.size_y;
-    topo::SubmeshRect slot = scheduler_.FindSlot(w, h, config_.policy);
+    topo::SubmeshRect slot = find_slot(w, h);
     if (slot.empty() && job.requeued && config_.min_readmit_fraction < 1.0) {
       // Shrink-to-fit readmission: alternately halve the larger dimension
       // until something fits or the shape drops under the floor. Remaining
@@ -349,7 +368,7 @@ void ClusterSimulation::SchedulePass() {
         }
         if (cw < 1 || ch < 1) break;
         if (cw * ch < config_.min_readmit_fraction * w * h) break;
-        slot = scheduler_.FindSlot(cw, ch, config_.policy);
+        slot = find_slot(cw, ch);
       }
     }
     if (!slot.empty()) {
@@ -402,6 +421,7 @@ void ClusterSimulation::SchedulePass() {
 
 void ClusterSimulation::Admit(int job, const topo::SubmeshRect& rect) {
   JobState& state = jobs_[job];
+  queue_.erase(std::find(queue_.begin(), queue_.end(), job));
   UpdateOccupancy(sim_.now());
   scheduler_.Allocate(job, rect);
   frag_max_ = std::max(frag_max_, scheduler_.Fragmentation());
@@ -432,13 +452,12 @@ recover::StepPricer ClusterSimulation::BuildPricer(Incarnation* inc) {
   pricer.healthy_step = pricing->healthy_step;
   // Closed-form comm estimate of the current schedule under the slice-local
   // link snapshot (multipod.cc's degraded-step idiom on the slice mesh).
-  pricer.degraded_step = [pricing, netcfg](const plan::LinkHealthSet& health) {
-    SilencedScope silence;
-    const SimTime comm = plan::EstimatePlanSeconds(*pricing->topo, netcfg,
-                                                   health, pricing->lowered);
-    if (pricing->comm_healthy <= 0) return pricing->healthy_step;
+  pricer.degraded_step = [pricing](const plan::LinkHealthSet& health) {
+    const SimTime comm_healthy = pricing->comm->healthy_seconds();
+    if (comm_healthy <= 0) return pricing->healthy_step;
+    const SimTime comm = pricing->comm->Seconds(health);
     return pricing->healthy_step +
-           pricing->healthy_allreduce * (comm / pricing->comm_healthy - 1.0);
+           pricing->healthy_allreduce * (comm / comm_healthy - 1.0);
   };
   pricer.replanned_step = [pricing, netcfg](const plan::LinkHealthSet& health) {
     SilencedScope silence;
@@ -614,6 +633,7 @@ void ClusterSimulation::Requeue(int job, SimTime ready_at,
   state.ready_at = ready_at;
   state.pending_resume = pending_resume;
   state.queued_since = sim_.now();
+  Enqueue(job);
   ++requeues_;
   if (ready_at > sim_.now()) {
     sim_.ScheduleAt(ready_at, [this] { SchedulePass(); });

@@ -41,8 +41,8 @@
 #include "fault/fault_injector.h"
 #include "network/network.h"
 #include "plan/cache.h"
+#include "plan/cost.h"
 #include "plan/plan_ir.h"
-#include "plan/schedule.h"
 #include "recover/controller.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
@@ -121,7 +121,7 @@ class ClusterSimulation {
   // Instantaneous state for telemetry probes (RegisterClusterProbes) and
   // the sampler's stop predicate.
   int running_jobs() const;
-  int queued_jobs() const;
+  int queued_jobs() const { return static_cast<int>(queue_.size()); }
   int busy_chips() const { return scheduler_.busy_chips(); }
   int free_chips() const { return scheduler_.free_chips(); }
   double fragmentation() const { return scheduler_.Fragmentation(); }
@@ -139,9 +139,10 @@ class ClusterSimulation {
     std::unique_ptr<topo::MeshTopology> topo;
     SimTime healthy_step = 0;
     SimTime healthy_allreduce = 0;
-    SimTime comm_healthy = 0;
     plan::PlanRequest request;
-    plan::LoweredPlan lowered;
+    // The paper plan's closed-form comm estimate on the slice, re-priced
+    // per health set from the groups a fault touches.
+    std::unique_ptr<plan::PlanRepricer> comm;
     std::shared_ptr<plan::PlanCache> cache;
     SimTime detection_deadline = 0;
     fault::CheckpointCosts checkpoint;
@@ -170,7 +171,6 @@ class ClusterSimulation {
   struct JobState {
     JobSpec spec;
     double remaining_steps = 0;
-    bool submitted = false;
     bool requeued = false;       // eligible for shrink-to-fit readmission
     SimTime ready_at = 0;        // earliest (re)admission time
     SimTime queued_since = -1;   // start of the current queued stretch
@@ -185,6 +185,11 @@ class ClusterSimulation {
                                            std::int64_t global_batch);
   bool RectAdmissible(const topo::SubmeshRect& rect) const;
 
+  // Scheduling order: higher priority first, then earlier arrival, then
+  // lower id.
+  bool QueuedBefore(int a, int b) const;
+  // Inserts a job entering the queue (submit or requeue) in order.
+  void Enqueue(int job);
   void OnSubmit(int job);
   void SchedulePass();
   void Admit(int job, const topo::SubmeshRect& rect);
@@ -227,6 +232,9 @@ class ClusterSimulation {
   SliceScheduler scheduler_;
 
   std::vector<JobState> jobs_;  // by job id (dropped arrivals excluded)
+  // Submitted jobs waiting for a slot, in scheduling order (QueuedBefore),
+  // ready or still writing a preemption checkpoint.
+  std::vector<int> queue_;
   std::vector<std::unique_ptr<Incarnation>> incarnations_;
   std::map<PricingKey, std::shared_ptr<ShapePricing>> pricing_;
   // Permanently failed links (both endpoints, cluster coords): the rect

@@ -117,6 +117,7 @@ void SliceScheduler::Release(int owner) {
     }
   }
   allocations_.erase(it);
+  ++free_epoch_;
 }
 
 void SliceScheduler::ShrinkTo(int owner, const topo::SubmeshRect& rect) {
@@ -130,6 +131,7 @@ void SliceScheduler::ShrinkTo(int owner, const topo::SubmeshRect& rect) {
     }
   }
   it->second = rect;
+  ++free_epoch_;
 }
 
 int SliceScheduler::busy_chips() const {

@@ -22,6 +22,7 @@
 // and no randomness or wall-clock is consulted.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <utility>
@@ -60,6 +61,10 @@ class SliceScheduler {
   // freeing the complement — an elastic shrink returns the rest of the
   // slice to the pool.
   void ShrinkTo(int owner, const topo::SubmeshRect& rect);
+
+  // Bumped whenever cells return to the free pool (Release, ShrinkTo): a
+  // w x h that found no slot keeps finding none while it stands still.
+  std::uint64_t free_epoch() const { return free_epoch_; }
 
   bool allocated(int owner) const { return allocations_.count(owner) != 0; }
   const std::map<int, topo::SubmeshRect>& allocations() const {
@@ -122,6 +127,7 @@ class SliceScheduler {
   std::vector<char> unusable_;   // 1 = permanently dead chip
   std::map<int, topo::SubmeshRect> allocations_;
   RectFilter filter_;
+  std::uint64_t free_epoch_ = 0;
 };
 
 }  // namespace tpu::cluster

@@ -525,36 +525,23 @@ FaultTolerantResult MultipodSystem::SimulateTrainingUnderFailures(
     request.allow_bfloat16 = options_.bfloat16_gradients;
     request.allow_bidirectional = options_.bidirectional_rings;
     request.search_threads = fault_options.recovery.search_threads;
-    const plan::CollectivePlan paper = plan::PaperPlan(request);
-    const plan::LoweredPlan lowered =
-        plan::LowerPlan(topology_, paper, request.elems);
     const SimTime healthy_allreduce = result.failure_free.step.allreduce;
 
     recover::StepPricer pricer;
     pricer.healthy_step = healthy_step;
     // Closed-form comm estimate of the *current* schedule under the link
     // snapshot: a failed link on a used route prices at the stall constant
-    // and trips any detection deadline.
-    SimTime comm_healthy = 0;
-    {
-      trace::ScopedTrace no_trace(nullptr);
-      trace::ScopedMetrics no_metrics(nullptr);
-      sim::ScopedEventObserver no_observer(nullptr);
-      telemetry::ScopedTelemetry no_telemetry(nullptr);
-      comm_healthy =
-          plan::EstimatePlanSeconds(topology_, options_.network, {}, lowered);
-    }
-    pricer.degraded_step = [this, healthy_step, healthy_allreduce, lowered,
-                            comm_healthy](const plan::LinkHealthSet& health) {
-      trace::ScopedTrace no_trace(nullptr);
-      trace::ScopedMetrics no_metrics(nullptr);
-      sim::ScopedEventObserver no_observer(nullptr);
-      telemetry::ScopedTelemetry no_telemetry(nullptr);
-      const SimTime comm =
-          plan::EstimatePlanSeconds(topology_, options_.network, health,
-                                    lowered);
+    // and trips any detection deadline. Each snapshot re-prices only the
+    // ring groups its links touch.
+    const auto comm = std::make_shared<const plan::PlanRepricer>(
+        topology_, options_.network,
+        plan::LowerPlan(topology_, plan::PaperPlan(request), request.elems));
+    pricer.degraded_step = [healthy_step, healthy_allreduce,
+                            comm](const plan::LinkHealthSet& health) {
+      const SimTime comm_healthy = comm->healthy_seconds();
       if (comm_healthy <= 0) return healthy_step;
-      return healthy_step + healthy_allreduce * (comm / comm_healthy - 1.0);
+      return healthy_step +
+             healthy_allreduce * (comm->Seconds(health) / comm_healthy - 1.0);
     };
     // Planner search under the snapshot vs under full health: the searched
     // schedules' predicted ratio scales the healthy all-reduce share.

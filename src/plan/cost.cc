@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -20,11 +21,14 @@ constexpr double kBoundMargin = 1e-9;
 
 class HopCost {
  public:
+  // `route_log`, when non-null, collects every link a priced route crosses.
   HopCost(const topo::MeshTopology& topo, const net::NetworkConfig& config,
-          const LinkHealthSet& health)
+          const LinkHealthSet& health,
+          std::vector<topo::LinkId>* route_log = nullptr)
       : topo_(topo), config_(config),
         degrade_(topo.links().size(), 1.0),
-        failed_(topo.links().size(), false) {
+        failed_(topo.links().size(), false),
+        route_log_(route_log) {
     for (const topo::LinkId link : health.failed) failed_[link] = true;
     for (const auto& [link, factor] : health.degraded) {
       degrade_[link] = factor;
@@ -44,6 +48,7 @@ class HopCost {
           config_.ParamsFor(topo_.link(id).type);
       t += params.latency + bytes / params.bandwidth * degrade_[id];
       if (failed_[id]) t += net::Network::kFailedLinkStall;
+      if (route_log_ != nullptr) route_log_->push_back(id);
       ++count;
     });
     if (links != nullptr) *links = std::max(*links, count);
@@ -55,6 +60,7 @@ class HopCost {
   const net::NetworkConfig& config_;
   std::vector<double> degrade_;
   std::vector<bool> failed_;
+  std::vector<topo::LinkId>* route_log_;
 };
 
 // Elements each direction of a ring carries, split as StartRing splits
@@ -165,6 +171,35 @@ SimTime HdStageSeconds(const HopCost& hop, const coll::RingSpec& spec,
   return total;
 }
 
+// One group's closed-form seconds in `stage`: the single per-group price
+// the estimate, its partial estimate and PlanRepricer all use.
+SimTime GroupSeconds(const HopCost& hop, const LoweredStage& stage,
+                     const coll::RingSpec& spec,
+                     const coll::CollectiveOptions& options) {
+  return stage.algorithm == PhaseAlgorithm::kRing
+             ? RingStageSeconds(hop, spec, options)
+             : HdStageSeconds(hop, spec,
+                              stage.op == LoweredStage::Op::kReduceScatter,
+                              options);
+}
+
+// Folds stage_seconds(s) over the stages in order: they run back to back,
+// except that chunk pipelining overlaps the shorter stages under the longest
+// one; the sequential sum is its upper bound, longest stage its lower bound.
+template <typename StageFn>
+SimTime SumStages(const LoweredPlan& lowered, StageFn&& stage_seconds) {
+  SimTime total = 0, longest_stage = 0;
+  for (std::size_t s = 0; s < lowered.stages.size(); ++s) {
+    const SimTime t = stage_seconds(s);
+    total += t;
+    longest_stage = std::max(longest_stage, t);
+  }
+  if (lowered.plan.chunks > 1) {
+    total = longest_stage + (total - longest_stage) / lowered.plan.chunks;
+  }
+  return total;
+}
+
 }  // namespace
 
 SimTime EstimatePlanSeconds(const topo::MeshTopology& topo,
@@ -172,29 +207,107 @@ SimTime EstimatePlanSeconds(const topo::MeshTopology& topo,
                             const LinkHealthSet& health,
                             const LoweredPlan& lowered) {
   const HopCost hop(topo, config, health);
-  const coll::CollectiveOptions options =
-      lowered.plan.collective_options();
-  SimTime total = 0, longest_stage = 0;
-  for (const LoweredStage& stage : lowered.stages) {
+  const coll::CollectiveOptions options = lowered.plan.collective_options();
+  return SumStages(lowered, [&](std::size_t s) {
+    const LoweredStage& stage = lowered.stages[s];
     SimTime stage_seconds = 0;
     for (const coll::RingSpec& spec : *stage.specs) {
-      const SimTime t =
-          stage.algorithm == PhaseAlgorithm::kRing
-              ? RingStageSeconds(hop, spec, options)
-              : HdStageSeconds(hop, spec,
-                               stage.op == LoweredStage::Op::kReduceScatter,
-                               options);
+      stage_seconds =
+          std::max(stage_seconds, GroupSeconds(hop, stage, spec, options));
+    }
+    return stage_seconds;
+  });
+}
+
+SimTime PartialEstimateSeconds(const topo::MeshTopology& topo,
+                               const net::NetworkConfig& config,
+                               const LinkHealthSet& health,
+                               const LoweredPlan& lowered) {
+  if (lowered.plan.chunks > 1) return 0;
+  const HopCost hop(topo, config, health);
+  const coll::CollectiveOptions options = lowered.plan.collective_options();
+  return SumStages(lowered, [&](std::size_t s) {
+    const LoweredStage& stage = lowered.stages[s];
+    return stage.specs->empty()
+               ? SimTime{0}
+               : GroupSeconds(hop, stage, stage.specs->front(), options);
+  });
+}
+
+PlanRepricer::PlanRepricer(const topo::MeshTopology& topo,
+                           const net::NetworkConfig& config,
+                           LoweredPlan lowered)
+    : topo_(topo), config_(config), lowered_(std::move(lowered)) {
+  // Pricing each group healthy logs exactly the links its price reads.
+  std::vector<topo::LinkId> links;
+  const HopCost hop(topo_, config_, {}, &links);
+  const coll::CollectiveOptions options = lowered_.plan.collective_options();
+  std::vector<std::pair<topo::LinkId, int>> crossings;  // (link, group)
+  stage_begin_.push_back(0);
+  for (const LoweredStage& stage : lowered_.stages) {
+    SimTime stage_seconds = 0;
+    for (const coll::RingSpec& spec : *stage.specs) {
+      const int group = static_cast<int>(group_seconds_.size());
+      links.clear();
+      group_seconds_.push_back(GroupSeconds(hop, stage, spec, options));
+      stage_seconds = std::max(stage_seconds, group_seconds_.back());
+      std::sort(links.begin(), links.end());
+      links.erase(std::unique(links.begin(), links.end()), links.end());
+      for (const topo::LinkId link : links) crossings.emplace_back(link, group);
+    }
+    stage_seconds_.push_back(stage_seconds);
+    stage_begin_.push_back(static_cast<int>(group_seconds_.size()));
+  }
+  healthy_seconds_ = SumStages(
+      lowered_, [&](std::size_t s) { return stage_seconds_[s]; });
+
+  // Bucket the crossings by link; groups arrive ascending, so each link's
+  // list comes out ascending.
+  link_begin_.assign(topo_.links().size() + 1, 0);
+  for (const auto& [link, group] : crossings) ++link_begin_[link + 1];
+  for (std::size_t l = 0; l + 1 < link_begin_.size(); ++l) {
+    link_begin_[l + 1] += link_begin_[l];
+  }
+  std::vector<int> next(link_begin_.begin(), link_begin_.end() - 1);
+  link_groups_.resize(crossings.size());
+  for (const auto& [link, group] : crossings) {
+    link_groups_[next[link]++] = group;
+  }
+}
+
+SimTime PlanRepricer::Seconds(const LinkHealthSet& health) const {
+  std::vector<int> touched;
+  const auto touch = [&](topo::LinkId link) {
+    touched.insert(touched.end(), link_groups_.begin() + link_begin_[link],
+                   link_groups_.begin() + link_begin_[link + 1]);
+  };
+  for (const topo::LinkId link : health.failed) touch(link);
+  for (const auto& [link, factor] : health.degraded) touch(link);
+  if (touched.empty()) return healthy_seconds_;
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+
+  // A group off every listed link walks only links whose cost `health`
+  // leaves as healthy, so its stored price is what recomputing would give.
+  const HopCost hop(topo_, config_, health);
+  const coll::CollectiveOptions options = lowered_.plan.collective_options();
+  auto next = touched.begin();
+  return SumStages(lowered_, [&](std::size_t s) {
+    const int first = stage_begin_[s];
+    const int last = stage_begin_[s + 1];
+    if (next == touched.end() || *next >= last) return stage_seconds_[s];
+    const LoweredStage& stage = lowered_.stages[s];
+    SimTime stage_seconds = 0;
+    for (int group = first; group < last; ++group) {
+      SimTime t = group_seconds_[group];
+      if (next != touched.end() && *next == group) {
+        t = GroupSeconds(hop, stage, (*stage.specs)[group - first], options);
+        ++next;
+      }
       stage_seconds = std::max(stage_seconds, t);
     }
-    total += stage_seconds;
-    longest_stage = std::max(longest_stage, stage_seconds);
-  }
-  // Chunk pipelining overlaps the shorter stages under the longest one; the
-  // sequential sum is its upper bound, longest stage its lower bound.
-  if (lowered.plan.chunks > 1) {
-    total = longest_stage + (total - longest_stage) / lowered.plan.chunks;
-  }
-  return total;
+    return stage_seconds;
+  });
 }
 
 SimTime LowerBoundPlanSeconds(const topo::MeshTopology& topo,

@@ -14,6 +14,13 @@
 // step a full chunk on the slowest hop, though a step may route the short
 // remainder chunk over that hop.
 //
+// PartialEstimateSeconds prices only each stage's first group with the same
+// arithmetic, so it never exceeds the estimate: the planner estimates
+// candidates in ascending partial order and stops once the next partial
+// exceeds the shortlist's last estimate. PlanRepricer re-prices one lowered
+// plan under many health sets by recomputing only the groups whose routes
+// cross a listed link. DESIGN.md §9 carries both exactness arguments.
+//
 // LowerBoundPlanSeconds is the certified tier: a closed-form price that is
 // never above EvaluatePlanOnSimulator's, so a candidate whose bound exceeds
 // a price already seen can be skipped without running it. DESIGN.md §9
@@ -26,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/units.h"
 #include "network/network.h"
@@ -39,6 +47,45 @@ SimTime EstimatePlanSeconds(const topo::MeshTopology& topo,
                             const net::NetworkConfig& config,
                             const LinkHealthSet& health,
                             const LoweredPlan& lowered);
+
+// EstimatePlanSeconds over only the first group of each stage: a lower
+// bound on it, bit for bit. Returns 0 for chunk-pipelined plans, whose
+// overlap formula is not monotone in the stage times.
+SimTime PartialEstimateSeconds(const topo::MeshTopology& topo,
+                               const net::NetworkConfig& config,
+                               const LinkHealthSet& health,
+                               const LoweredPlan& lowered);
+
+// EstimatePlanSeconds of one lowered plan under any health set, built once:
+// it keeps every group's healthy seconds and, for each link, the groups
+// whose hop routes cross it. Seconds(health) recomputes only the groups
+// that touch one of `health`'s links, each whole, keeps the stored values
+// of the rest and reduces the stages as the estimate does, so it returns
+// EstimatePlanSeconds(topo, config, health, lowered) exactly. `topo` must
+// outlive the repricer.
+class PlanRepricer {
+ public:
+  PlanRepricer(const topo::MeshTopology& topo, const net::NetworkConfig& config,
+               LoweredPlan lowered);
+
+  SimTime Seconds(const LinkHealthSet& health) const;
+  SimTime healthy_seconds() const { return healthy_seconds_; }
+
+ private:
+  const topo::MeshTopology& topo_;
+  net::NetworkConfig config_;
+  LoweredPlan lowered_;
+  // Groups are numbered stage by stage: stage s owns [stage_begin_[s],
+  // stage_begin_[s + 1]).
+  std::vector<int> stage_begin_;
+  std::vector<SimTime> group_seconds_;  // healthy, per group
+  std::vector<SimTime> stage_seconds_;  // healthy, per stage
+  SimTime healthy_seconds_ = 0;
+  // The groups crossing link l are link_groups_[link_begin_[l] ..
+  // link_begin_[l + 1]), ascending.
+  std::vector<int> link_begin_;
+  std::vector<int> link_groups_;
+};
 
 // Sum over stages of the slowest group's certified step bounds, scaled by
 // (1 - 1e-9) to absorb the rounding both sides accumulate. Ring

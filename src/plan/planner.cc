@@ -60,6 +60,48 @@ ShortlistPick PriceShortlist(const std::vector<SimTime>& bounds,
   return pick;
 }
 
+EstimateShortlist ShortlistByEstimate(
+    const std::vector<SimTime>& partials,
+    const std::vector<std::string>& names,
+    const std::function<SimTime(int)>& estimate, int top_k) {
+  TPU_CHECK(!partials.empty());
+  TPU_CHECK_EQ(partials.size(), names.size());
+  const int n = static_cast<int>(partials.size());
+  top_k = std::min(std::max(top_k, 1), n);
+  std::vector<int> order(n);
+  for (int i = 0; i < n; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return partials[a] != partials[b] ? partials[a] < partials[b]
+                                      : names[a] < names[b];
+  });
+  // The best `top_k` estimated so far as (estimate, index), sorted by
+  // (estimate, name).
+  std::vector<std::pair<SimTime, int>> best;
+  EstimateShortlist shortlist;
+  for (const int i : order) {
+    if (static_cast<int>(best.size()) == top_k &&
+        partials[i] > best.back().first) {
+      break;
+    }
+    const std::pair<SimTime, int> entry{estimate(i), i};
+    ++shortlist.estimated;
+    best.insert(std::upper_bound(best.begin(), best.end(), entry,
+                                 [&](const auto& a, const auto& b) {
+                                   return a.first != b.first
+                                              ? a.first < b.first
+                                              : names[a.second] <
+                                                    names[b.second];
+                                 }),
+                entry);
+    if (static_cast<int>(best.size()) > top_k) best.pop_back();
+  }
+  for (const auto& [seconds, i] : best) {
+    shortlist.indices.push_back(i);
+    shortlist.estimates.push_back(seconds);
+  }
+  return shortlist;
+}
+
 PlannerResult FindBestPlan(const topo::MeshTopology& topo,
                            const net::NetworkConfig& config,
                            const PlanRequest& request,
@@ -80,59 +122,55 @@ PlannerResult FindBestPlan(const topo::MeshTopology& topo,
   std::vector<CollectivePlan> candidates = GeneratePlans(topo, request);
   TPU_CHECK(!candidates.empty());
 
-  // Closed-form tier: rank every candidate, ties broken by name so the
-  // ordering (and thus the DES shortlist) is deterministic. Each lowering is
-  // kept for the shortlist's bounds.
-  struct Scored {
-    SimTime estimate;
-    std::string name;
-    const CollectivePlan* plan;
-    LoweredPlan lowered;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(candidates.size());
+  // Closed-form tier, pruned by the partial estimate; the lowerings are kept
+  // for the shortlist's bounds.
+  std::vector<LoweredPlan> lowered;
+  std::vector<SimTime> partials;
+  std::vector<std::string> names;
+  lowered.reserve(candidates.size());
   for (const CollectivePlan& plan : candidates) {
-    LoweredPlan lowered = LowerPlan(topo, plan, request.elems);
-    const SimTime estimate =
-        EstimatePlanSeconds(topo, config, health, lowered);
-    scored.push_back({estimate, plan.name(), &plan, std::move(lowered)});
+    lowered.push_back(LowerPlan(topo, plan, request.elems));
+    partials.push_back(
+        PartialEstimateSeconds(topo, config, health, lowered.back()));
+    names.push_back(plan.name());
   }
-  std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
-    return a.estimate != b.estimate ? a.estimate < b.estimate
-                                    : a.name < b.name;
-  });
-  const int top_k =
-      std::min<int>(std::max(request.des_top_k, 1),
-                    static_cast<int>(scored.size()));
-  scored.erase(scored.begin() + top_k, scored.end());
+  const EstimateShortlist shortlist = ShortlistByEstimate(
+      partials, names,
+      [&](int i) {
+        return EstimatePlanSeconds(topo, config, health, lowered[i]);
+      },
+      request.des_top_k);
 
   // Discrete-event tier over the shortlist, pruned by the certified bound;
   // the executed time of the winner is bit-identical to what running it for
   // real will report.
   std::vector<SimTime> bounds;
-  std::vector<std::string> names;
-  for (const Scored& s : scored) {
-    bounds.push_back(LowerBoundPlanSeconds(topo, config, health, s.lowered));
-    names.push_back(s.name);
+  std::vector<std::string> shortlist_names;
+  for (const int i : shortlist.indices) {
+    bounds.push_back(LowerBoundPlanSeconds(topo, config, health, lowered[i]));
+    shortlist_names.push_back(names[i]);
   }
+  lowered.clear();  // the simulations lower their plans again
   const int threads =
       request.search_threads == 0
           ? std::max(1, static_cast<int>(std::thread::hardware_concurrency()))
           : std::max(request.search_threads, 1);
   const ShortlistPick pick = PriceShortlist(
-      bounds, names,
+      bounds, shortlist_names,
       [&](int i) {
-        return EvaluatePlanOnSimulator(topo, config, health, *scored[i].plan,
+        return EvaluatePlanOnSimulator(topo, config, health,
+                                       candidates[shortlist.indices[i]],
                                        request.elems);
       },
       threads);
 
   PlannerResult result;
-  result.plan = *scored[pick.index].plan;
+  result.plan = candidates[shortlist.indices[pick.index]];
   result.predicted_seconds = pick.seconds;
-  result.estimated_seconds = scored[pick.index].estimate;
+  result.estimated_seconds = shortlist.estimates[pick.index];
   result.candidates = static_cast<int>(candidates.size());
-  result.evaluated = top_k;
+  result.evaluated = static_cast<int>(shortlist.indices.size());
+  result.estimates = shortlist.estimated;
   result.des_runs = pick.des_runs;
 
   if (trace::TraceRecorder* recorder = trace::CurrentTrace()) {

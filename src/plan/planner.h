@@ -1,11 +1,13 @@
 // The planner: search, cache, execute, and replan on failure.
 //
 // FindBestPlan enumerates candidates, shortlists the top K by the
-// fault-aware closed-form estimate, and returns the one the discrete-event
-// simulation prices cheapest — consulting the PlanCache first when one is
-// supplied. The certified lower bound (plan/cost.h) spares the simulation
-// every shortlisted candidate that cannot win (PriceShortlist). Ties break
-// on (time, name), so identical inputs always pick the same plan.
+// fault-aware closed-form estimate (estimating only candidates whose
+// partial estimate can still make the shortlist, ShortlistByEstimate), and
+// returns the one the discrete-event simulation prices cheapest —
+// consulting the PlanCache first when one is supplied. The certified lower
+// bound (plan/cost.h) spares the simulation every shortlisted candidate
+// that cannot win (PriceShortlist). Ties break on (time, name), so
+// identical inputs always pick the same plan.
 //
 // ExecuteWithReplanning is the fault-driven loop the paper's recovery story
 // needs: execute the current plan with per-phase deadlines armed, feed the
@@ -38,8 +40,27 @@ struct PlannerResult {
   bool from_cache = false;
   int candidates = 0;  // plans enumerated (0 on a cache hit)
   int evaluated = 0;   // plans shortlisted for the simulator
+  int estimates = 0;   // plans the closed-form tier estimated in full
   int des_runs = 0;    // shortlisted plans the simulator actually priced
 };
+
+// The closed-form tier's walk: the `top_k` candidates least by
+// (estimate(i), names[i]), in that order. `partials[i]` must not exceed
+// estimate(i). Candidates are estimated in ascending (partial, name) order
+// until the next partial exceeds the K-th best estimate so far: that
+// candidate and every later one estimates above the whole shortlist. A
+// partial equal to it still estimates, since an equal estimate with a
+// smaller name would enter.
+struct EstimateShortlist {
+  std::vector<int> indices;        // into the candidates, best first
+  std::vector<SimTime> estimates;  // theirs
+  int estimated = 0;               // candidates estimate() ran on
+};
+
+EstimateShortlist ShortlistByEstimate(
+    const std::vector<SimTime>& partials,
+    const std::vector<std::string>& names,
+    const std::function<SimTime(int)>& estimate, int top_k);
 
 // The discrete-event tier's walk over a shortlist. `price(i)` runs
 // candidate i's simulation and must return at least `bounds[i]`. Prices the

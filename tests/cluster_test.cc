@@ -2,6 +2,7 @@
 // aware carving, and the shared-fault composition (one injector, many
 // tenants, independent recovery decisions).
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -185,6 +186,18 @@ TEST(SliceScheduler, ShrinkToFreesTheComplement) {
             (topo::SubmeshRect{4, 0, 4, 4}));
 }
 
+TEST(SliceScheduler, FreeEpochMovesOnlyWhenCellsReturn) {
+  SliceScheduler sched(8, 8);
+  const std::uint64_t start = sched.free_epoch();
+  sched.Allocate(0, {0, 0, 4, 4});
+  sched.MarkUnusable({7, 7});
+  EXPECT_EQ(sched.free_epoch(), start);
+  sched.ShrinkTo(0, {0, 0, 2, 4});
+  EXPECT_EQ(sched.free_epoch(), start + 1);
+  sched.Release(0);
+  EXPECT_EQ(sched.free_epoch(), start + 2);
+}
+
 TEST(SliceScheduler, PreemptionPlanMinimizesVictims) {
   SliceScheduler sched(8, 4);
   sched.Allocate(0, {0, 0, 4, 4});
@@ -301,6 +314,22 @@ TEST(Cluster, FirstFitHeadOfLineBlocksWhereBackfillProceeds) {
   // Under first-fit the small job waits for BOTH wide jobs; under backfill
   // it cannot start earlier than wide-b but never later.
   EXPECT_LT(bf.jobs[2].wait_seconds, ff.jobs[2].wait_seconds);
+}
+
+TEST(Cluster, PreemptionInAPassReopensShapesThatFailedEarlierInIt) {
+  // `wide` fills the 16x8 machine. `peer` (same priority, so it cannot
+  // preempt) waits behind it. When `urgent` arrives, one pass sees urgent's
+  // 8x8 fail, preempts `wide` for it, and must retry the same 8x8 shape for
+  // `peer` in the other half instead of remembering the failure.
+  std::vector<JobSpec> jobs(3);
+  jobs[0] = {0, "wide", 0, 16, 8, 10000, 0};
+  jobs[1] = {1, "peer", Seconds(5), 8, 8, 400, 0};
+  jobs[2] = {2, "urgent", Seconds(10), 8, 8, 400, 1};
+  const ClusterReport report =
+      ClusterSimulation(SmallClusterConfig(), jobs).Run();
+  EXPECT_EQ(report.jobs[0].preemptions, 1);
+  EXPECT_EQ(report.jobs[2].first_admitted_at, Seconds(10));
+  EXPECT_EQ(report.jobs[1].first_admitted_at, Seconds(10));
 }
 
 // The acceptance scenario: one dead cross-pod cable, two co-located

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "collectives/all_reduce.h"
+#include "common/rng.h"
 #include "core/multipod.h"
 #include "fault/health_monitor.h"
 #include "models/model_specs.h"
@@ -426,8 +427,10 @@ TEST(PlannerBound, NeverExceedsTheSimulatedPrice) {
   }
 }
 
-// FindBestPlan without pruning: DES-price the whole shortlist and reduce by
-// (time, name).
+// FindBestPlan without pruning: estimate every candidate, DES-price the
+// whole shortlist and reduce by (time, name). des_runs counts the
+// shortlisted plans whose bound does not exceed the lowest-bound plan's
+// price — those the pruned walk must run.
 plan::PlannerResult ExhaustiveSearch(const topo::MeshTopology& topo,
                                      const plan::PlanRequest& request,
                                      const plan::LinkHealthSet& health) {
@@ -436,34 +439,59 @@ plan::PlannerResult ExhaustiveSearch(const topo::MeshTopology& topo,
     SimTime estimate;
     std::string name;
     plan::CollectivePlan plan;
+    SimTime bound;
   };
   std::vector<Scored> scored;
   for (const plan::CollectivePlan& candidate :
        plan::GeneratePlans(topo, request)) {
+    const plan::LoweredPlan lowered =
+        plan::LowerPlan(topo, candidate, request.elems);
     scored.push_back(
-        {plan::EstimatePlanSeconds(
-             topo, config, health,
-             plan::LowerPlan(topo, candidate, request.elems)),
-         candidate.name(), candidate});
+        {plan::EstimatePlanSeconds(topo, config, health, lowered),
+         candidate.name(), candidate,
+         plan::LowerBoundPlanSeconds(topo, config, health, lowered)});
   }
   std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
     return a.estimate != b.estimate ? a.estimate < b.estimate
                                     : a.name < b.name;
   });
-  const int top_k = std::min<int>(request.des_top_k, scored.size());
+  const int top_k =
+      std::min<int>(std::max(request.des_top_k, 1), scored.size());
   plan::PlannerResult result;
+  result.candidates = static_cast<int>(scored.size());
+  result.evaluated = top_k;
+  std::vector<SimTime> seconds;
+  int first = 0;
   for (int i = 0; i < top_k; ++i) {
-    const SimTime seconds = plan::EvaluatePlanOnSimulator(
-        topo, config, health, scored[i].plan, request.elems);
-    if (i == 0 || seconds < result.predicted_seconds ||
-        (seconds == result.predicted_seconds &&
+    seconds.push_back(plan::EvaluatePlanOnSimulator(
+        topo, config, health, scored[i].plan, request.elems));
+    if (scored[i].bound < scored[first].bound) first = i;
+    if (i == 0 || seconds[i] < result.predicted_seconds ||
+        (seconds[i] == result.predicted_seconds &&
          scored[i].name < result.plan.name())) {
       result.plan = scored[i].plan;
-      result.predicted_seconds = seconds;
+      result.predicted_seconds = seconds[i];
       result.estimated_seconds = scored[i].estimate;
     }
   }
+  for (int i = 0; i < top_k; ++i) {
+    result.des_runs += scored[i].bound <= seconds[first] ? 1 : 0;
+  }
   return result;
+}
+
+// Every field but the pruning counters, which the reference cannot have.
+void ExpectSameSearch(const plan::PlannerResult& got,
+                      const plan::PlannerResult& want) {
+  EXPECT_EQ(got.plan, want.plan);
+  EXPECT_EQ(got.predicted_seconds, want.predicted_seconds);
+  EXPECT_EQ(got.estimated_seconds, want.estimated_seconds);
+  EXPECT_EQ(got.from_cache, want.from_cache);
+  EXPECT_EQ(got.candidates, want.candidates);
+  EXPECT_EQ(got.evaluated, want.evaluated);
+  EXPECT_EQ(got.des_runs, want.des_runs);
+  EXPECT_GE(got.estimates, got.evaluated);
+  EXPECT_LE(got.estimates, got.candidates);
 }
 
 TEST(PlannerBound, PrunedSearchEqualsExhaustiveShortlist) {
@@ -480,14 +508,182 @@ TEST(PlannerBound, PrunedSearchEqualsExhaustiveShortlist) {
       const plan::PlannerResult want = ExhaustiveSearch(topo, request, health);
       const plan::PlannerResult got =
           plan::FindBestPlan(topo, net::NetworkConfig{}, request, health);
-      EXPECT_EQ(got.plan, want.plan);
-      EXPECT_EQ(got.predicted_seconds, want.predicted_seconds);
-      EXPECT_EQ(got.estimated_seconds, want.estimated_seconds);
+      ExpectSameSearch(got, want);
       EXPECT_EQ(got.evaluated, std::min(top_k, got.candidates));
       EXPECT_GE(got.des_runs, 1);
       EXPECT_LE(got.des_runs, got.evaluated);
     }
   }
+}
+
+// Seeded meshes for the differential tests: square and non-square, one to
+// three pods, torus and open Y, X strided over model-parallel peers, and
+// chunk-pipelined candidates.
+struct SeededMesh {
+  topo::TopologyConfig shape;
+  plan::PlanRequest request;
+};
+
+std::vector<SeededMesh> SeededMeshes(std::uint64_t seed, int count) {
+  Rng rng(seed);
+  std::vector<SeededMesh> meshes;
+  for (int i = 0; i < count; ++i) {
+    SeededMesh mesh;
+    if (i % 2 == 0) {  // one square pod: 2x2 .. 8x8
+      mesh.shape.pod_size_x = 2 + 2 * static_cast<int>(rng.NextBounded(4));
+      mesh.shape.pod_size_y = mesh.shape.pod_size_x;
+      mesh.shape.num_pods = 1;
+    } else {  // one to three pods side by side
+      mesh.shape.pod_size_x = 2 + 2 * static_cast<int>(rng.NextBounded(2));
+      mesh.shape.pod_size_y = 2 + static_cast<int>(rng.NextBounded(7));
+      mesh.shape.num_pods = 1 + static_cast<int>(rng.NextBounded(3));
+    }
+    mesh.shape.wrap_y = rng.NextBounded(2) == 0;
+    mesh.request.elems =
+        1000 + static_cast<std::int64_t>(rng.NextBounded(50000));
+    mesh.request.model_parallel_stride = rng.NextBounded(3) == 0 ? 2 : 1;
+    mesh.request.max_chunks = rng.NextBounded(2) == 0 ? 1 : 4;
+    meshes.push_back(mesh);
+  }
+  return meshes;
+}
+
+// `links` distinct link ids of `topo`, ascending.
+std::vector<topo::LinkId> SeededLinks(const topo::MeshTopology& topo, Rng& rng,
+                                      int links) {
+  std::set<topo::LinkId> picked;
+  while (static_cast<int>(picked.size()) < links) {
+    picked.insert(static_cast<topo::LinkId>(rng.NextBounded(topo.links().size())));
+  }
+  return {picked.begin(), picked.end()};
+}
+
+// Empty, failed-only, degraded-only, mixed, and degraded by exactly 1.0.
+std::vector<plan::LinkHealthSet> SeededHealthSets(const topo::MeshTopology& topo,
+                                                  Rng& rng) {
+  const double factors[] = {1.5, 2.0, 4.0, 1024.0};
+  std::vector<plan::LinkHealthSet> healths(5);
+  healths[1].failed = SeededLinks(topo, rng, 1 + rng.NextBounded(3));
+  for (const topo::LinkId link : SeededLinks(topo, rng, 1 + rng.NextBounded(3))) {
+    healths[2].degraded.emplace_back(link, factors[rng.NextBounded(4)]);
+  }
+  const std::vector<topo::LinkId> mixed = SeededLinks(topo, rng, 4);
+  for (const topo::LinkId link : mixed) {
+    if (rng.NextBounded(2) == 0) {
+      healths[3].failed.push_back(link);
+    } else {
+      healths[3].degraded.emplace_back(link, factors[rng.NextBounded(4)]);
+    }
+  }
+  for (const topo::LinkId link : SeededLinks(topo, rng, 2)) {
+    healths[4].degraded.emplace_back(link, 1.0);
+  }
+  return healths;
+}
+
+// The fault-local re-pricer against the full estimate, bit for bit, on every
+// candidate of every seeded mesh under every seeded health set; and the
+// partial estimate the search orders by never exceeds the estimate.
+TEST(PlanRepricer, MatchesTheFullEstimateOnSeededMeshesAndHealthSets) {
+  const net::NetworkConfig config;
+  int meshes = 0;
+  for (const SeededMesh& mesh : SeededMeshes(17, 12)) {
+    const topo::MeshTopology topo(mesh.shape);
+    Rng rng(1000 + meshes++);
+    const std::vector<plan::LinkHealthSet> healths =
+        SeededHealthSets(topo, rng);
+    for (const plan::CollectivePlan& candidate :
+         plan::GeneratePlans(topo, mesh.request)) {
+      const plan::LoweredPlan lowered =
+          plan::LowerPlan(topo, candidate, mesh.request.elems);
+      const plan::PlanRepricer repricer(topo, config, lowered);
+      EXPECT_EQ(repricer.healthy_seconds(),
+                plan::EstimatePlanSeconds(topo, config, {}, lowered));
+      for (const plan::LinkHealthSet& health : healths) {
+        SCOPED_TRACE(std::to_string(topo.size_x()) + "x" +
+                     std::to_string(topo.size_y()) + " " + candidate.name() +
+                     health.CacheKeyFragment());
+        const SimTime estimate =
+            plan::EstimatePlanSeconds(topo, config, health, lowered);
+        EXPECT_EQ(repricer.Seconds(health), estimate);
+        const SimTime partial =
+            plan::PartialEstimateSeconds(topo, config, health, lowered);
+        EXPECT_LE(partial, estimate);
+        if (candidate.chunks > 1) {
+          EXPECT_EQ(partial, 0.0);
+        }
+      }
+    }
+  }
+}
+
+// Every single-link failure of two small meshes, so every link a group's
+// routes cross is exercised through the repricer's index.
+TEST(PlanRepricer, MatchesTheFullEstimateUnderEverySingleLinkFailure) {
+  const net::NetworkConfig config;
+  topo::TopologyConfig three_pods;
+  three_pods.pod_size_x = 2;
+  three_pods.pod_size_y = 4;
+  three_pods.num_pods = 3;
+  for (const topo::TopologyConfig& shape :
+       {three_pods, topo::TopologyConfig::Slice(4, 4, false)}) {
+    const topo::MeshTopology topo(shape);
+    plan::PlanRequest request;
+    request.elems = 4099;
+    for (const plan::CollectivePlan& candidate :
+         plan::GeneratePlans(topo, request)) {
+      const plan::LoweredPlan lowered =
+          plan::LowerPlan(topo, candidate, request.elems);
+      const plan::PlanRepricer repricer(topo, config, lowered);
+      for (const topo::Link& link : topo.links()) {
+        plan::LinkHealthSet health;
+        health.failed.push_back(link.id);
+        EXPECT_EQ(repricer.Seconds(health),
+                  plan::EstimatePlanSeconds(topo, config, health, lowered))
+            << candidate.name() << " link " << link.id;
+      }
+    }
+  }
+}
+
+// The pruned closed-form tier against the exhaustive reference at every
+// shortlist size on seeded meshes and health sets. The square meshes have
+// identical X and Y links, so mirrored plans (Y->X and X->Y) tie exactly on
+// estimate and the shortlist's edge falls between equal estimates.
+TEST(PlannerBound, PrunedEstimatesEqualExhaustiveOnSeededMeshes) {
+  const net::NetworkConfig config;
+  int ties = 0;
+  int mesh_index = 0;
+  for (const SeededMesh& mesh : SeededMeshes(29, 4)) {
+    const topo::MeshTopology topo(mesh.shape);
+    Rng rng(2000 + mesh_index++);
+    const std::vector<plan::LinkHealthSet> healths =
+        SeededHealthSets(topo, rng);
+    for (const plan::LinkHealthSet& health : {healths[0], healths[3]}) {
+      std::vector<SimTime> estimates;
+      for (const plan::CollectivePlan& candidate :
+           plan::GeneratePlans(topo, mesh.request)) {
+        estimates.push_back(plan::EstimatePlanSeconds(
+            topo, config, health,
+            plan::LowerPlan(topo, candidate, mesh.request.elems)));
+      }
+      std::sort(estimates.begin(), estimates.end());
+      for (std::size_t i = 1; i < estimates.size(); ++i) {
+        ties += estimates[i] == estimates[i - 1] ? 1 : 0;
+      }
+      for (int top_k = 1; top_k <= static_cast<int>(estimates.size());
+           top_k += 3) {
+        SCOPED_TRACE(std::to_string(topo.size_x()) + "x" +
+                     std::to_string(topo.size_y()) + " des_top_k=" +
+                     std::to_string(top_k) + health.CacheKeyFragment());
+        plan::PlanRequest request = mesh.request;
+        request.des_top_k = top_k;
+        ExpectSameSearch(plan::FindBestPlan(topo, config, request, health),
+                         ExhaustiveSearch(topo, request, health));
+      }
+    }
+  }
+  EXPECT_GT(ties, 0);
 }
 
 TEST(PlannerBound, HealthyPaperPlanWinsOnOneSimulation) {
@@ -547,6 +743,102 @@ TEST(PlannerBound, ShortlistWalkPricesOnlyCandidatesThatCanWin) {
       }
       EXPECT_EQ(priced, c.want_priced);
     }
+  }
+}
+
+// On the 1024-chip multipod at the BERT payload, the first group of each
+// stage prices the stage closely enough that the walk estimates only a few
+// candidates and never a halving-doubling one (their estimates are over 10x
+// the shortlist's edge).
+TEST(PlannerBound, PartialEstimatesSkipHalvingDoublingAtScale) {
+  const topo::MeshTopology topo(core::TopologyForChips(1024));
+  const net::NetworkConfig config;
+  plan::PlanRequest request;
+  request.elems = models::GetModelSpec(models::Benchmark::kBert).parameters;
+  for (const plan::LinkHealthSet& health :
+       {plan::LinkHealthSet{}, SlowRow(topo, 5, 4.0)}) {
+    SCOPED_TRACE(health.CacheKeyFragment());
+    const std::vector<plan::CollectivePlan> candidates =
+        plan::GeneratePlans(topo, request);
+    std::vector<plan::LoweredPlan> lowered;
+    std::vector<SimTime> partials;
+    std::vector<std::string> names;
+    for (const plan::CollectivePlan& candidate : candidates) {
+      lowered.push_back(plan::LowerPlan(topo, candidate, request.elems));
+      partials.push_back(
+          plan::PartialEstimateSeconds(topo, config, health, lowered.back()));
+      names.push_back(candidate.name());
+    }
+    std::vector<std::string> estimated;
+    plan::ShortlistByEstimate(
+        partials, names,
+        [&](int i) {
+          estimated.push_back(names[i]);
+          return plan::EstimatePlanSeconds(topo, config, health, lowered[i]);
+        },
+        request.des_top_k);
+    ASSERT_GE(estimated.size(), 3u);
+    EXPECT_LT(estimated.size(), candidates.size() / 2);
+    for (const std::string& name : estimated) {
+      EXPECT_EQ(name.rfind("hd-", 0), std::string::npos) << name;
+    }
+    const plan::PlannerResult result =
+        plan::FindBestPlan(topo, config, request, health);
+    EXPECT_EQ(result.estimates, static_cast<int>(estimated.size()));
+    EXPECT_EQ(result.plan, plan::PaperPlan(request));
+  }
+}
+
+// The closed-form walk on synthetic partials and estimates with forced
+// ties: it must estimate exactly the candidates whose partial does not
+// exceed the shortlist's edge when reached, and return the same shortlist as
+// estimating everything.
+TEST(PlannerBound, EstimateWalkEstimatesOnlyCandidatesThatCanMakeTheShortlist) {
+  struct Case {
+    const char* label;
+    std::vector<SimTime> partials;
+    std::vector<std::string> names;
+    std::vector<SimTime> estimates;
+    int top_k;
+    std::vector<int> want_shortlist;
+    std::vector<int> want_estimated;
+  };
+  const Case cases[] = {
+      {"single", {1.0}, {"a"}, {1.5}, 1, {0}, {0}},
+      {"stops past the edge", {1.0, 5.0, 2.0}, {"a", "b", "c"},
+       {3.0, 6.0, 2.5}, 1, {2}, {0, 2}},
+      // The smaller name has the larger partial, equal to the edge's
+      // estimate and to its own: it must still be estimated, and enter.
+      {"equal partial at the edge", {1.0, 2.0}, {"b", "a"}, {2.0, 2.0}, 1,
+       {1}, {0, 1}},
+      {"tied estimates order by name", {0.5, 0.5, 0.5}, {"c", "b", "a"},
+       {3.0, 3.0, 3.0}, 2, {2, 1}, {0, 1, 2}},
+      {"tie one past the edge", {1.0, 1.0, 3.0, 4.0}, {"w", "x", "y", "z"},
+       {3.0, 2.0, 3.0, 9.0}, 2, {1, 0}, {0, 1, 2}},
+      {"top k beyond the candidates", {2.0, 1.0}, {"a", "b"}, {4.0, 1.0}, 5,
+       {1, 0}, {0, 1}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    std::vector<int> calls(c.partials.size(), 0);
+    const plan::EstimateShortlist shortlist = plan::ShortlistByEstimate(
+        c.partials, c.names,
+        [&](int i) {
+          ++calls[i];
+          return c.estimates[i];
+        },
+        c.top_k);
+    EXPECT_EQ(shortlist.indices, c.want_shortlist);
+    std::vector<SimTime> want_estimates;
+    for (const int i : c.want_shortlist) want_estimates.push_back(c.estimates[i]);
+    EXPECT_EQ(shortlist.estimates, want_estimates);
+    EXPECT_EQ(shortlist.estimated, static_cast<int>(c.want_estimated.size()));
+    std::vector<int> estimated;
+    for (int i = 0; i < static_cast<int>(calls.size()); ++i) {
+      EXPECT_LE(calls[i], 1);
+      if (calls[i] == 1) estimated.push_back(i);
+    }
+    EXPECT_EQ(estimated, c.want_estimated);
   }
 }
 
