@@ -45,6 +45,19 @@ std::string Num(double value) {
   return buf;
 }
 
+// The goodput column: a percentage, or where the clock stopped when the work
+// never finished (every retry horizon expired first).
+std::string GoodputCell(const tpu::recover::RecoveryTimeline& timeline) {
+  char buf[64];
+  if (timeline.completed) {
+    std::snprintf(buf, sizeof(buf), "%7.1f%%", 100.0 * timeline.goodput());
+  } else {
+    std::snprintf(buf, sizeof(buf), "did not complete by %.1f s",
+                  timeline.makespan);
+  }
+  return buf;
+}
+
 }  // namespace
 
 int main() {
@@ -139,9 +152,9 @@ int main() {
         timeline.decisions.empty()
             ? 0
             : timeline.decisions.back().predicted_downtime;
-    bench::Row("%-16s | %-18s %10.1f %10.1f %10.1f %7.1f%%", scenario.name,
+    bench::Row("%-16s | %-18s %10.1f %10.1f %10.1f %s", scenario.name,
                strategy, extra, predicted, downtime,
-               100.0 * timeline.goodput());
+               GoodputCell(timeline).c_str());
 
     if (json_scenarios.tellp() > 0) json_scenarios << ",";
     json_scenarios << "{\"scenario\":\"" << scenario.name << "\",\"strategy\":\""
@@ -198,8 +211,8 @@ int main() {
         timeline.decisions.empty()
             ? "(micro-stall)"
             : recover::StrategyName(timeline.decisions.back().strategy);
-    bench::Row("%10.0f | %-18s %10.1f %7.1f%% %7d %9d", duration, strategy,
-               extra, 100.0 * timeline.goodput(), timeline.probes,
+    bench::Row("%10.0f | %-18s %10.1f %s %7d %9d", duration, strategy, extra,
+               GoodputCell(timeline).c_str(), timeline.probes,
                timeline.restarts);
     if (json_durations.tellp() > 0) json_durations << ",";
     json_durations << "{\"duration_s\":" << Num(duration) << ",\"strategy\":\""
@@ -229,8 +242,8 @@ int main() {
         timeline.decisions.empty()
             ? "(none)"
             : recover::StrategyName(timeline.decisions.back().strategy);
-    bench::Row("%10.0f | %-18s %10.1f %10.1f %7.1f%%", at, strategy, extra,
-               timeline.lost_work_seconds, 100.0 * timeline.goodput());
+    bench::Row("%10.0f | %-18s %10.1f %10.1f %s", at, strategy, extra,
+               timeline.lost_work_seconds, GoodputCell(timeline).c_str());
     if (json_fault_times.tellp() > 0) json_fault_times << ",";
     json_fault_times << "{\"fault_at_s\":" << Num(at) << ",\"strategy\":\""
                      << strategy << "\",\"extra_s\":" << Num(extra)

@@ -115,8 +115,9 @@ inline void FlushObservability() {
   }
 }
 
-// Parses the flags once and installs the global recorder/registry. Benches
-// that never pass a flag pay nothing: the globals stay null.
+// Parses the flags once and installs the recorder/registry/session in the
+// main thread's run context. Benches that never pass a flag pay nothing: the
+// sinks stay null.
 inline void InitObservability() {
   ObservabilityEnv& env = Env();
   if (env.initialized) return;
@@ -198,9 +199,10 @@ inline void InitObservability() {
     env.telemetry_path = "telemetry.json";
   }
 
-  if (!env.trace_path.empty()) trace::SetCurrentTrace(&env.recorder);
-  if (env.metrics_on) trace::SetCurrentMetrics(&env.metrics);
-  if (env.telemetry_on) telemetry::SetCurrentTelemetry(&env.telemetry);
+  sim::RunContext& context = sim::CurrentRunContext();
+  if (!env.trace_path.empty()) context.trace = &env.recorder;
+  if (env.metrics_on) context.metrics = &env.metrics;
+  if (env.telemetry_on) context.telemetry = &env.telemetry;
   if (!env.trace_path.empty() || env.metrics_on || env.telemetry_on) {
     std::atexit(FlushObservability);
   }

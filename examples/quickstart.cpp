@@ -113,7 +113,7 @@ int main() {
   // The multipod-scale sections below would add millions of trace events;
   // the mini-run above is the committed example timeline, so tracing stops
   // here (metrics stay on — they aggregate, not accumulate events).
-  trace::SetCurrentTrace(nullptr);
+  sim::CurrentRunContext().trace = nullptr;
 
   // The paper's machine: four 32x32 TPU-v3 pods joined along X (4096 chips).
   core::MultipodSystem multipod(4096);

@@ -51,10 +51,15 @@ int main() {
     const auto result = system.SimulateTrainingUnderFailures(
         benchmark, global_batch, 1, framework, options);
     std::printf("%s\n", title);
-    std::printf("  makespan %.1f s (+%.1f s over fault-free), goodput %.1f%%\n",
-                result.expected_seconds,
-                result.expected_seconds - result.timeline.base_seconds,
-                100.0 * result.timeline.goodput());
+    if (result.timeline.completed) {
+      std::printf(
+          "  makespan %.1f s (+%.1f s over fault-free), goodput %.1f%%\n",
+          result.expected_seconds,
+          result.expected_seconds - result.timeline.base_seconds,
+          100.0 * result.timeline.goodput());
+    } else {
+      std::printf("  did not complete by %.1f s\n", result.expected_seconds);
+    }
     for (const auto& decision : result.timeline.decisions) {
       std::printf("  t=%7.1f s attempt %d: %-18s  downtime %6.1f s  "
                   "step-after %.2f ms  predicted extra %.1f s%s\n",
@@ -132,9 +137,13 @@ int main() {
                                ? "(none: micro-stall)"
                                : recover::StrategyName(
                                      result.timeline.decisions.back().strategy);
-    std::printf("  %10.0f %-18s %12.1f %9.1f%%\n", duration, strategy,
-                result.expected_seconds - result.timeline.base_seconds,
-                100.0 * result.timeline.goodput());
+    std::printf("  %10.0f %-18s %12.1f ", duration, strategy,
+                result.expected_seconds - result.timeline.base_seconds);
+    if (result.timeline.completed) {
+      std::printf("%9.1f%%\n", 100.0 * result.timeline.goodput());
+    } else {
+      std::printf("did not complete by %.1f s\n", result.expected_seconds);
+    }
   }
   return 0;
 }

@@ -13,12 +13,11 @@
 #include "plan/generator.h"
 #include "plan/plan_ir.h"
 #include "plan/planner.h"
-#include "sim/event_observer.h"
+#include "sim/run_context.h"
 #include "telemetry/probes.h"
 #include "telemetry/sampler.h"
 #include "telemetry/telemetry.h"
 #include "trace/metrics.h"
-#include "trace/trace.h"
 
 namespace tpu::cluster {
 namespace {
@@ -29,16 +28,6 @@ constexpr const char* kQueued = "queued";
 constexpr const char* kReserved = "reserved";
 constexpr const char* kRunning = "running";
 constexpr const char* kCompleted = "completed";
-
-// Silences the thread-local observability slots around throwaway pricing
-// estimates/simulations (the multipod recovery-oracle idiom): cluster
-// timestamps and reports stay bit-identical with tracing/telemetry on.
-struct SilencedScope {
-  trace::ScopedTrace no_trace{nullptr};
-  trace::ScopedMetrics no_metrics{nullptr};
-  sim::ScopedEventObserver no_observer{nullptr};
-  telemetry::ScopedTelemetry no_telemetry{nullptr};
-};
 
 }  // namespace
 
@@ -105,7 +94,7 @@ std::shared_ptr<ClusterSimulation::ShapePricing> ClusterSimulation::PricingFor(
   pricing->cache = std::make_shared<plan::PlanCache>();
   const models::ModelSpec& spec = models::GetModelSpec(benchmark);
   {
-    SilencedScope silence;
+    sim::ScopedSilence silence;
     core::MultipodSystem system(pricing->slice_config, config_.system);
     const core::StepBreakdown step =
         system.SimulateStep(spec, global_batch, 1, nullptr);
@@ -116,9 +105,8 @@ std::shared_ptr<ClusterSimulation::ShapePricing> ClusterSimulation::PricingFor(
   pricing->request.model_parallel_stride = 1;
   pricing->request.allow_bfloat16 = config_.system.bfloat16_gradients;
   pricing->request.allow_bidirectional = config_.system.bidirectional_rings;
-  pricing->request.search_threads = config_.recovery.search_threads;
   {
-    SilencedScope silence;
+    sim::ScopedSilence silence;
     pricing->comm = std::make_unique<plan::PlanRepricer>(
         *pricing->topo, config_.system.network,
         plan::LowerPlan(*pricing->topo, plan::PaperPlan(pricing->request),
@@ -460,7 +448,7 @@ recover::StepPricer ClusterSimulation::BuildPricer(Incarnation* inc) {
            pricing->healthy_allreduce * (comm / comm_healthy - 1.0);
   };
   pricer.replanned_step = [pricing, netcfg](const plan::LinkHealthSet& health) {
-    SilencedScope silence;
+    sim::ScopedSilence silence;
     const SimTime planned_healthy =
         plan::FindBestPlan(*pricing->topo, netcfg, pricing->request, {},
                            pricing->cache.get())

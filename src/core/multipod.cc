@@ -513,9 +513,10 @@ FaultTolerantResult MultipodSystem::SimulateTrainingUnderFailures(
     }
     result.checkpoint_interval = std::max<SimTime>(tau, 0);
 
-    // The pricing oracles. All three run throwaway estimates/simulations, so
-    // they silence the thread-local trace/metrics/observer slots; the
-    // recovered timeline stays bit-identical with or without a recorder.
+    // The pricing oracles run throwaway estimates and simulations. The two
+    // that reach instrumented code (the planner search and the shrunk-shape
+    // step) silence the run context, so the recovered timeline stays
+    // bit-identical with or without a recorder.
     const std::unique_ptr<optim::Optimizer> optimizer = OptimizerFor(benchmark);
     const int chips_per_group = ChipsPerGroup(model_parallel_cores);
     plan::PlanRequest request;
@@ -524,7 +525,6 @@ FaultTolerantResult MultipodSystem::SimulateTrainingUnderFailures(
     request.model_parallel_stride = chips_per_group;
     request.allow_bfloat16 = options_.bfloat16_gradients;
     request.allow_bidirectional = options_.bidirectional_rings;
-    request.search_threads = fault_options.recovery.search_threads;
     const SimTime healthy_allreduce = result.failure_free.step.allreduce;
 
     recover::StepPricer pricer;
@@ -547,10 +547,7 @@ FaultTolerantResult MultipodSystem::SimulateTrainingUnderFailures(
     // schedules' predicted ratio scales the healthy all-reduce share.
     pricer.replanned_step = [this, healthy_step, healthy_allreduce,
                              request](const plan::LinkHealthSet& health) {
-      trace::ScopedTrace no_trace(nullptr);
-      trace::ScopedMetrics no_metrics(nullptr);
-      sim::ScopedEventObserver no_observer(nullptr);
-      telemetry::ScopedTelemetry no_telemetry(nullptr);
+      sim::ScopedSilence silence;
       const SimTime planned_healthy =
           plan::FindBestPlan(topology_, options_.network, request, {},
                              &plan_cache_)
@@ -574,10 +571,7 @@ FaultTolerantResult MultipodSystem::SimulateTrainingUnderFailures(
       const std::pair<int, int> key{rect.size_x, rect.size_y};
       const auto it = shrunk_memo->find(key);
       if (it != shrunk_memo->end()) return it->second;
-      trace::ScopedTrace no_trace(nullptr);
-      trace::ScopedMetrics no_metrics(nullptr);
-      sim::ScopedEventObserver no_observer(nullptr);
-      telemetry::ScopedTelemetry no_telemetry(nullptr);
+      sim::ScopedSilence silence;
       // The carve keeps Y wrap links only when it spans the full Y extent.
       const bool wrap_y =
           topology_.config().wrap_y && rect.size_y == topology_.size_y();
@@ -659,8 +653,13 @@ FaultTolerantResult MultipodSystem::SimulateTrainingUnderFailures(
     result.expected_seconds = timeline.makespan;
     result.expected_failures = timeline.faults_applied;
     // Same semantic as the analytic model: everything past the failure-free
-    // makespan — checkpoint writes included — is badput.
-    result.goodput = timeline.makespan > 0 ? base / timeline.makespan : 1.0;
+    // makespan — checkpoint writes included — is badput. A run the last
+    // horizon truncated delivered no finished job: goodput 0.
+    if (!timeline.completed) {
+      result.goodput = 0;
+    } else {
+      result.goodput = timeline.makespan > 0 ? base / timeline.makespan : 1.0;
+    }
     if (trace::MetricsRegistry* metrics = trace::CurrentMetrics()) {
       timeline.ExportMetrics(*metrics);
     }

@@ -133,6 +133,8 @@ struct FaultTolerantResult {
   double goodput = 1.0;            // failure-free / expected
   // Filled when FaultToleranceOptions::recovery.enabled: the event-driven
   // recovery timeline the expected_seconds/goodput above were read from.
+  // `recovered` says the recovery ran; timeline.completed says the work
+  // finished (goodput is 0 when it did not).
   bool recovered = false;
   recover::RecoveryTimeline timeline;
 };

@@ -5,9 +5,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "telemetry/telemetry.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
+#include "sim/run_context.h"
 
 namespace tpu::core {
 namespace {
@@ -36,14 +34,10 @@ std::vector<SweepPoint> RunScalingSweep(const SweepConfig& config) {
           ? std::max(1u, std::thread::hardware_concurrency())
           : static_cast<std::size_t>(std::max(config.threads, 1));
   threads = std::min(threads, n);
-  // The trace recorder, metrics registry and telemetry session are
-  // thread-local, so worker threads would simulate silently; to keep an
-  // observed sweep's output independent of the thread count, run it
-  // serially.
-  if (trace::CurrentTrace() != nullptr || trace::CurrentMetrics() != nullptr ||
-      telemetry::CurrentTelemetry() != nullptr) {
-    threads = 1;
-  }
+  // The run context is thread-local, so worker threads would simulate
+  // unobserved; to keep an observed sweep's output independent of the
+  // thread count, run it serially whenever any sink is installed.
+  if (sim::CurrentRunContext().any()) threads = 1;
 
   std::vector<SweepPoint> points(n);
   if (threads <= 1) {

@@ -72,9 +72,10 @@ const Network::CachedRoute& Network::RouteFor(topo::ChipId from,
 SimTime Network::Transmit(const CachedRoute& route, Bytes bytes) {
   TPU_CHECK_GE(bytes, 0);
   ++traffic_.messages;
-  trace::TraceRecorder* recorder = trace::CurrentTrace();
-  trace::MetricsRegistry* metrics = trace::CurrentMetrics();
-  sim::EventObserver* observer = sim::CurrentEventObserver();
+  const sim::RunContext& context = sim::CurrentRunContext();
+  trace::TraceRecorder* recorder = context.trace;
+  trace::MetricsRegistry* metrics = context.metrics;
+  sim::EventObserver* observer = context.observer;
   if (recorder != nullptr) EnsureTraceState(recorder);
   // Bound only once a hop records, so a self-send leaves no empty
   // histogram behind.

@@ -9,9 +9,8 @@
 #include "common/check.h"
 #include "common/math_util.h"
 #include "plan/executor.h"
+#include "sim/run_context.h"
 #include "sim/simulator.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
 
 namespace tpu::plan {
 namespace {
@@ -355,12 +354,10 @@ SimTime EvaluatePlanOnSimulator(const topo::MeshTopology& topo,
                                 const LinkHealthSet& health,
                                 const CollectivePlan& plan,
                                 std::int64_t elems) {
-  // Candidate evaluations are throwaway: silence tracing, metrics, and the
-  // causal observer so the search leaves no spans, counters, or event
-  // records behind — only the chosen plan's real execution is observable.
-  trace::ScopedTrace no_trace(nullptr);
-  trace::ScopedMetrics no_metrics(nullptr);
-  sim::ScopedEventObserver no_observer(nullptr);
+  // Candidate evaluations are throwaway: silence every sink so the search
+  // leaves no spans, counters, samples or event records behind — only the
+  // chosen plan's real execution is observable.
+  sim::ScopedSilence silence;
   sim::Simulator simulator;
   net::Network network(&topo, config, &simulator);
   health.ApplyTo(network);

@@ -97,12 +97,6 @@ struct PlanRequest {
   // simulator, which prices those the lower bound cannot rule out; the rest
   // are ranked by estimate alone.
   int des_top_k = 3;
-  // Worker threads for the exact pricing tier. Each candidate left after the
-  // first price runs on its own throwaway Simulator and results are reduced
-  // by (time, name), so the chosen plan, its predicted time and the run
-  // count are identical at any thread count (and this field is deliberately
-  // not part of the plan-cache key). 0 picks the hardware concurrency.
-  int search_threads = 1;
 
   friend bool operator==(const PlanRequest&, const PlanRequest&) = default;
 };

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "plan/cost.h"
 #include "plan/generator.h"
 #include "plan/schedule.h"
@@ -19,42 +17,21 @@ namespace tpu::plan {
 
 ShortlistPick PriceShortlist(const std::vector<SimTime>& bounds,
                              const std::vector<std::string>& names,
-                             const std::function<SimTime(int)>& price,
-                             int threads) {
+                             const std::function<SimTime(int)>& price) {
   TPU_CHECK(!bounds.empty());
   TPU_CHECK_EQ(bounds.size(), names.size());
   const int first = static_cast<int>(
       std::min_element(bounds.begin(), bounds.end()) - bounds.begin());
-  std::vector<SimTime> seconds(bounds.size());
-  seconds[first] = price(first);
-  std::vector<int> survivors;
+  ShortlistPick pick{first, price(first), 1};
+  const SimTime first_seconds = pick.seconds;
   for (int i = 0; i < static_cast<int>(bounds.size()); ++i) {
-    if (i != first && bounds[i] <= seconds[first]) survivors.push_back(i);
-  }
-  // Each survivor prices on its own throwaway Simulator with no shared
-  // state (the trace/metrics globals are thread-local), so they can fan out
-  // across a pool; which ones run depends only on the first price.
-  const int workers =
-      std::min(threads, static_cast<int>(survivors.size()));
-  if (workers > 1) {
-    ThreadPool pool(workers);
-    pool.ParallelFor(survivors.size(), [&](std::size_t begin,
-                                           std::size_t end) {
-      for (std::size_t j = begin; j < end; ++j) {
-        seconds[survivors[j]] = price(survivors[j]);
-      }
-    });
-  } else {
-    for (const int i : survivors) seconds[i] = price(i);
-  }
-
-  ShortlistPick pick{first, seconds[first],
-                     1 + static_cast<int>(survivors.size())};
-  for (const int i : survivors) {
-    if (seconds[i] < pick.seconds ||
-        (seconds[i] == pick.seconds && names[i] < names[pick.index])) {
+    if (i == first || bounds[i] > first_seconds) continue;
+    const SimTime seconds = price(i);
+    ++pick.des_runs;
+    if (seconds < pick.seconds ||
+        (seconds == pick.seconds && names[i] < names[pick.index])) {
       pick.index = i;
-      pick.seconds = seconds[i];
+      pick.seconds = seconds;
     }
   }
   return pick;
@@ -151,18 +128,12 @@ PlannerResult FindBestPlan(const topo::MeshTopology& topo,
     shortlist_names.push_back(names[i]);
   }
   lowered.clear();  // the simulations lower their plans again
-  const int threads =
-      request.search_threads == 0
-          ? std::max(1, static_cast<int>(std::thread::hardware_concurrency()))
-          : std::max(request.search_threads, 1);
-  const ShortlistPick pick = PriceShortlist(
-      bounds, shortlist_names,
-      [&](int i) {
+  const ShortlistPick pick =
+      PriceShortlist(bounds, shortlist_names, [&](int i) {
         return EvaluatePlanOnSimulator(topo, config, health,
                                        candidates[shortlist.indices[i]],
                                        request.elems);
-      },
-      threads);
+      });
 
   PlannerResult result;
   result.plan = candidates[shortlist.indices[pick.index]];
@@ -197,11 +168,10 @@ trace::RunReport ProbePlan(const topo::MeshTopology& topo,
                            const LinkHealthSet& health,
                            const CollectivePlan& plan, std::int64_t elems,
                            SimTime estimated_seconds) {
-  // Same throwaway discipline as EvaluatePlanOnSimulator — silence the
-  // trace/metrics globals so the probe leaves nothing behind — but with the
-  // causal tracker installed so the re-execution yields a full report.
-  trace::ScopedTrace no_trace(nullptr);
-  trace::ScopedMetrics no_metrics(nullptr);
+  // Same throwaway discipline as EvaluatePlanOnSimulator — silence every
+  // sink so the probe leaves nothing behind — but with the causal tracker
+  // installed so the re-execution yields a full report.
+  sim::ScopedSilence silence;
   trace::CriticalPathTracker tracker;
   sim::ScopedEventObserver observe(&tracker);
   sim::Simulator simulator;

@@ -65,11 +65,11 @@ EstimateShortlist ShortlistByEstimate(
 // The discrete-event tier's walk over a shortlist. `price(i)` runs
 // candidate i's simulation and must return at least `bounds[i]`. Prices the
 // lowest-bound candidate (the earliest on a tie) alone, then every other
-// whose bound does not exceed that price — across `threads` workers when
-// more than one — and picks the least (price, name) among those priced. A
-// skipped candidate prices at least its bound, strictly above a price
-// already seen, so the pick equals pricing the whole shortlist. A bound
-// equal to the price still runs: an exact tie breaks on name.
+// whose bound does not exceed that price, and picks the least (price, name)
+// among those priced. A skipped candidate prices at least its bound,
+// strictly above a price already seen, so the pick equals pricing the whole
+// shortlist. A bound equal to the price still runs: an exact tie breaks on
+// name.
 struct ShortlistPick {
   int index = -1;       // into the shortlist
   SimTime seconds = 0;  // its price
@@ -78,8 +78,7 @@ struct ShortlistPick {
 
 ShortlistPick PriceShortlist(const std::vector<SimTime>& bounds,
                              const std::vector<std::string>& names,
-                             const std::function<SimTime(int)>& price,
-                             int threads = 1);
+                             const std::function<SimTime(int)>& price);
 
 PlannerResult FindBestPlan(const topo::MeshTopology& topo,
                            const net::NetworkConfig& config,

@@ -80,11 +80,6 @@ struct RecoveryPolicy {
   // After this many strategy attempts for one stall, everything but the
   // checkpoint-restart fallback is considered exhausted.
   int max_attempts_per_fault = 4;
-
-  // Worker threads for the planner searches the controller issues. The
-  // chosen plans and times are thread-invariant (plan::PlanRequest), so this
-  // changes wall-clock only, never the recovered timeline.
-  int search_threads = 1;
 };
 
 // What the controller concluded about the machine when the alarm fired.
@@ -220,7 +215,9 @@ struct RecoveryTimeline {
   std::vector<ThroughputInterval> intervals;
   std::vector<RecoveryDecision> decisions;
 
+  // 0 for a truncated timeline: the work never finished.
   double goodput() const {
+    if (!completed) return 0;
     return makespan > 0 ? base_seconds / makespan : 1.0;
   }
 

@@ -8,10 +8,11 @@
 // extraction and slack analysis (trace/critical_path.h implements the one
 // real observer).
 //
-// Like the trace/metrics globals, the observer is a thread-local pointer
-// that is null by default: every instrumentation site is one load and
-// branch, the observer only records (it never schedules), and simulated
-// times are bit-identical with observation on or off. The interface lives in
+// Like the other sinks, the observer is a pointer in the thread-local
+// RunContext (sim/run_context.h) that is null by default: every
+// instrumentation site is one load and branch, the observer only records (it
+// never schedules), and simulated times are bit-identical with observation on
+// or off. The interface lives in
 // sim (header-only, no topology/trace dependency) so the simulator, network
 // and collectives can all feed it without layering inversions; link ids,
 // pods and type names are carried as plain ints/strings.
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "sim/run_context.h"
 
 namespace tpu::sim {
 
@@ -88,34 +90,13 @@ class EventObserver {
   virtual void OnPhase(const char* name) { (void)name; }
 };
 
-namespace internal {
-inline EventObserver*& EventObserverSlot() {
-  thread_local EventObserver* observer = nullptr;
-  return observer;
-}
-}  // namespace internal
-
-// Thread-local current observer; null (the default) disables observation.
+// The current observer, one member of the thread-local RunContext; null (the
+// default) disables observation.
 inline EventObserver* CurrentEventObserver() {
-  return internal::EventObserverSlot();
-}
-inline void SetCurrentEventObserver(EventObserver* observer) {
-  internal::EventObserverSlot() = observer;
+  return CurrentRunContext().observer;
 }
 
 // RAII install/uninstall (restores the previous observer).
-class ScopedEventObserver {
- public:
-  explicit ScopedEventObserver(EventObserver* observer)
-      : previous_(CurrentEventObserver()) {
-    SetCurrentEventObserver(observer);
-  }
-  ~ScopedEventObserver() { SetCurrentEventObserver(previous_); }
-  ScopedEventObserver(const ScopedEventObserver&) = delete;
-  ScopedEventObserver& operator=(const ScopedEventObserver&) = delete;
-
- private:
-  EventObserver* previous_;
-};
+using ScopedEventObserver = ScopedSink<&RunContext::observer>;
 
 }  // namespace tpu::sim

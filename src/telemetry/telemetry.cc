@@ -12,11 +12,6 @@
 namespace tpu::telemetry {
 namespace {
 
-// Thread-local like the trace recorder and metrics registry: worker threads
-// running throwaway simulations (planner re-pricing, sweep points) must not
-// feed the main thread's session.
-thread_local TelemetrySession* g_telemetry = nullptr;
-
 // %.12g, the same precision RecoveryTimeline::ToJson uses: enough that
 // distinct simulated values stay distinct, short enough that the files stay
 // readable. All values are pure functions of the simulation, so identical
@@ -56,9 +51,6 @@ int FindColumn(const std::vector<std::string>& columns, const char* name) {
 }
 
 }  // namespace
-
-TelemetrySession* CurrentTelemetry() { return g_telemetry; }
-void SetCurrentTelemetry(TelemetrySession* session) { g_telemetry = session; }
 
 // ---------------------------------------------------------------------------
 // TimeSeries

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "sim/run_context.h"
 
 namespace tpu::trace {
 class MetricsRegistry;
@@ -293,23 +294,13 @@ class TelemetrySession {
   std::map<std::string, std::int64_t> firing_counts_;
 };
 
-// Process-global (thread-local) session; null — the default — disables all
-// telemetry instrumentation. Same contract as trace::CurrentTrace().
-TelemetrySession* CurrentTelemetry();
-void SetCurrentTelemetry(TelemetrySession* session);
+// The current session, one member of the thread-local sim::RunContext; null
+// (the default) disables all telemetry instrumentation. Same contract as
+// trace::CurrentTrace().
+inline TelemetrySession* CurrentTelemetry() {
+  return sim::CurrentRunContext().telemetry;
+}
 
-class ScopedTelemetry {
- public:
-  explicit ScopedTelemetry(TelemetrySession* session)
-      : previous_(CurrentTelemetry()) {
-    SetCurrentTelemetry(session);
-  }
-  ~ScopedTelemetry() { SetCurrentTelemetry(previous_); }
-  ScopedTelemetry(const ScopedTelemetry&) = delete;
-  ScopedTelemetry& operator=(const ScopedTelemetry&) = delete;
-
- private:
-  TelemetrySession* previous_;
-};
+using ScopedTelemetry = sim::ScopedSink<&sim::RunContext::telemetry>;
 
 }  // namespace tpu::telemetry

@@ -11,11 +11,6 @@
 namespace tpu::trace {
 namespace {
 
-// Thread-local for the same reason as the trace recorder (trace.cc):
-// worker threads running throwaway or parallel simulations must not race on
-// (or pollute) the main thread's registry.
-thread_local MetricsRegistry* g_metrics = nullptr;
-
 // Buckets per doubling of the value; 8 gives ~9%-wide buckets, tight enough
 // that interpolated percentiles are within a few percent of exact.
 constexpr int kBucketsPerOctave = 8;
@@ -27,9 +22,6 @@ std::string FormatDouble(double v) {
 }
 
 }  // namespace
-
-MetricsRegistry* CurrentMetrics() { return g_metrics; }
-void SetCurrentMetrics(MetricsRegistry* metrics) { g_metrics = metrics; }
 
 int MetricHistogram::BucketOf(double value) {
   // value in (BucketLow(b), BucketHigh(b)]  with bounds 2^(b / 8).

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "common/units.h"
+#include "sim/run_context.h"
 
 namespace tpu::sim {
 class Simulator;
@@ -84,7 +85,7 @@ class MetricsRegistry {
   }
 
   // Drops every metric. Call between sweep repetitions when one registry is
-  // reused (e.g. a thread_local registry surviving across sweep points) so
+  // reused (e.g. one registry installed across every sweep point) so
   // samples from one repetition cannot leak into the next one's dump.
   void Reset() {
     counters_.clear();
@@ -111,23 +112,13 @@ class MetricsRegistry {
   std::uint64_t epoch_ = 0;
 };
 
-// Process-global registry; null (default) disables metric collection.
-MetricsRegistry* CurrentMetrics();
-void SetCurrentMetrics(MetricsRegistry* metrics);
+// The current registry, one member of the thread-local sim::RunContext; null
+// (the default) disables metric collection.
+inline MetricsRegistry* CurrentMetrics() {
+  return sim::CurrentRunContext().metrics;
+}
 
-class ScopedMetrics {
- public:
-  explicit ScopedMetrics(MetricsRegistry* metrics)
-      : previous_(CurrentMetrics()) {
-    SetCurrentMetrics(metrics);
-  }
-  ~ScopedMetrics() { SetCurrentMetrics(previous_); }
-  ScopedMetrics(const ScopedMetrics&) = delete;
-  ScopedMetrics& operator=(const ScopedMetrics&) = delete;
-
- private:
-  MetricsRegistry* previous_;
-};
+using ScopedMetrics = sim::ScopedSink<&sim::RunContext::metrics>;
 
 // Accumulates one simulator's lifetime statistics into the registry under
 // `prefix`: events processed/scheduled, peak queue depth, callback storage

@@ -10,12 +10,6 @@
 namespace tpu::trace {
 namespace {
 
-// Thread-local so independent deterministic simulations (parallel sweep
-// points, planner candidate re-pricing) can run on worker threads without
-// racing on the recorder: workers observe a null recorder unless they
-// install their own.
-thread_local TraceRecorder* g_current = nullptr;
-
 std::string TrackKey(const std::string& process, const std::string& thread) {
   std::string key = process;
   key.push_back('\0');
@@ -45,9 +39,6 @@ void AppendFixed3(std::string* out, double value) {
       buf, buf + sizeof(buf), value, std::chars_format::fixed, 3);
   out->append(buf, result.ptr);
 }
-
-TraceRecorder* CurrentTrace() { return g_current; }
-void SetCurrentTrace(TraceRecorder* recorder) { g_current = recorder; }
 
 TraceRecorder::TrackId TraceRecorder::Track(const std::string& process,
                                             const std::string& thread) {

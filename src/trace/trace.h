@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "sim/run_context.h"
 
 namespace tpu::trace {
 
@@ -144,26 +145,14 @@ class TraceRecorder {
 // costs: every timestamp and counter value of the JSON export.
 void AppendFixed3(std::string* out, double value);
 
-// Process-global recorder. Null (the default) disables all instrumentation;
-// sites must check before recording. Instrumented code caches TrackIds keyed
-// on the recorder pointer, so swap recorders rather than mutating one.
-TraceRecorder* CurrentTrace();
-void SetCurrentTrace(TraceRecorder* recorder);
+// The current recorder, one member of the thread-local sim::RunContext. Null
+// (the default) disables all instrumentation; sites must check before
+// recording. Instrumented code caches TrackIds keyed on the recorder pointer,
+// so swap recorders rather than mutating one.
+inline TraceRecorder* CurrentTrace() { return sim::CurrentRunContext().trace; }
 
 // RAII install/uninstall (restores the previous recorder).
-class ScopedTrace {
- public:
-  explicit ScopedTrace(TraceRecorder* recorder)
-      : previous_(CurrentTrace()) {
-    SetCurrentTrace(recorder);
-  }
-  ~ScopedTrace() { SetCurrentTrace(previous_); }
-  ScopedTrace(const ScopedTrace&) = delete;
-  ScopedTrace& operator=(const ScopedTrace&) = delete;
-
- private:
-  TraceRecorder* previous_;
-};
+using ScopedTrace = sim::ScopedSink<&sim::RunContext::trace>;
 
 // RAII time-offset change on a recorder (no-op when recorder is null).
 class ScopedTimeOffset {

@@ -1,10 +1,11 @@
 // Bit-reproducibility gates for the event core: the timestamp-run queue,
-// pooled callbacks, cached routes, and parallel sweep/search tiers must not
-// perturb simulated time by a single ULP. Every comparison here is exact
+// pooled callbacks, cached routes, the parallel sweep tier and the thread a
+// run executes on must not perturb simulated time by a single ULP. Every comparison here is exact
 // (EXPECT_EQ on doubles), not approximate.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
 
 #include "cluster/cluster.h"
 #include "cluster/workload.h"
@@ -13,12 +14,16 @@
 #include "core/sweep.h"
 #include "models/model_specs.h"
 #include "network/network.h"
+#include "plan/cost.h"
 #include "plan/planner.h"
+#include "sim/run_context.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 #include "topology/topology.h"
 #include "trace/critical_path.h"
+#include "trace/metrics.h"
 #include "trace/run_report.h"
+#include "trace/trace.h"
 
 namespace tpu {
 namespace {
@@ -46,8 +51,9 @@ TEST(Determinism, TrainingUnderFailuresIsBitIdenticalAcrossRuns) {
 TEST(Determinism, RecoveryTimelineIsBitIdenticalAcrossRunsAndThreads) {
   // The event-driven recovery controller on an MTBF-generated fault schedule:
   // the full timeline (every fault, decision, downtime and throughput
-  // interval) must replay byte-identically across repeats, and the planner
-  // searches it issues must be thread-count invariant.
+  // interval) must replay byte-identically across repeats, and on a fresh
+  // thread, whose thread-local run context and callback/payload pools start
+  // empty.
   core::FaultToleranceOptions options;
   options.recovery.enabled = true;
   options.checkpoint_interval = Seconds(600);
@@ -71,9 +77,9 @@ TEST(Determinism, RecoveryTimelineIsBitIdenticalAcrossRunsAndThreads) {
   EXPECT_EQ(a.goodput, b.goodput);
   EXPECT_EQ(a.timeline.ToJson(), b.timeline.ToJson());
 
-  options.recovery.search_threads = 4;
-  const auto threaded = run();
-  EXPECT_EQ(a.timeline.ToJson(), threaded.timeline.ToJson());
+  core::FaultTolerantResult fresh;
+  std::thread([&] { fresh = run(); }).join();
+  EXPECT_EQ(a.timeline.ToJson(), fresh.timeline.ToJson());
 }
 
 TEST(Determinism, PlannerSearchIsBitIdenticalAcrossRuns) {
@@ -89,28 +95,9 @@ TEST(Determinism, PlannerSearchIsBitIdenticalAcrossRuns) {
   EXPECT_EQ(a.plan.name(), b.plan.name());
   EXPECT_EQ(a.predicted_seconds, b.predicted_seconds);
   EXPECT_EQ(a.estimated_seconds, b.estimated_seconds);
-}
-
-TEST(Determinism, PlannerSearchIsThreadCountInvariant) {
-  // The exact pricing tier fans the candidates its lower bound leaves
-  // standing across worker threads; the winner, its predicted time and the
-  // number of simulations must match the serial search exactly.
-  const topo::MeshTopology topo(topo::TopologyConfig::Slice(8, 8, true));
-  const net::NetworkConfig config;
-  plan::PlanRequest request;
-  request.elems = 1 << 16;
-  request.max_chunks = 4;
-  request.des_top_k = 4;
-  request.search_threads = 1;
-  const auto serial = plan::FindBestPlan(topo, config, request);
-  request.search_threads = 4;
-  const auto threaded = plan::FindBestPlan(topo, config, request);
-  EXPECT_EQ(serial.plan, threaded.plan);
-  EXPECT_EQ(serial.predicted_seconds, threaded.predicted_seconds);
-  EXPECT_EQ(serial.estimated_seconds, threaded.estimated_seconds);
-  EXPECT_EQ(serial.candidates, threaded.candidates);
-  EXPECT_EQ(serial.evaluated, threaded.evaluated);
-  EXPECT_EQ(serial.des_runs, threaded.des_runs);
+  EXPECT_EQ(a.candidates, b.candidates);
+  EXPECT_EQ(a.evaluated, b.evaluated);
+  EXPECT_EQ(a.des_runs, b.des_runs);
 }
 
 TEST(Determinism, CausalTrackerOnOrOffLeavesCollectiveTimingBitIdentical) {
@@ -190,10 +177,9 @@ TEST(Determinism, ParallelSweepCsvIsByteIdenticalToSerial) {
 // The MTBF-seeded recovery scenario the timeline-determinism test above
 // uses, optionally under a telemetry session.
 core::FaultTolerantResult RunSeededRecovery(
-    telemetry::TelemetrySession* session, int search_threads) {
+    telemetry::TelemetrySession* session) {
   core::FaultToleranceOptions options;
   options.recovery.enabled = true;
-  options.recovery.search_threads = search_threads;
   options.checkpoint_interval = Seconds(600);
   options.faults.seed = 7;
   options.faults.link_flap_mtbf = Seconds(2e4);
@@ -211,9 +197,9 @@ TEST(Determinism, TelemetrySamplingLeavesEveryWorkTimestampBitIdentical) {
   // Telemetry-class events share the DES queue but must not perturb a
   // single simulated timestamp: the sampled run's timeline serializes
   // byte-identically to the unsampled one.
-  const auto off = RunSeededRecovery(nullptr, 1);
+  const auto off = RunSeededRecovery(nullptr);
   telemetry::TelemetrySession session;
-  const auto on = RunSeededRecovery(&session, 1);
+  const auto on = RunSeededRecovery(&session);
   ASSERT_TRUE(on.recovered);
   EXPECT_GT(session.runs().size(), 0u);
   EXPECT_EQ(off.timeline.ToJson(), on.timeline.ToJson());
@@ -223,18 +209,20 @@ TEST(Determinism, TelemetrySamplingLeavesEveryWorkTimestampBitIdentical) {
 
 TEST(Determinism, TelemetryJsonIsByteIdenticalAcrossRepeatsAndThreads) {
   // The whole telemetry artifact — series, watchdog firings, flight dumps —
-  // must be byte-identical across repeated runs and across planner thread
-  // counts (the sampler rides the simulator clock, not wall clock).
-  const auto capture = [](int search_threads) {
+  // must be byte-identical across repeated runs and when the session is
+  // installed on a fresh thread (the sampler rides the simulator clock, not
+  // wall clock).
+  const auto capture = [] {
     telemetry::TelemetrySession session;
-    RunSeededRecovery(&session, search_threads);
+    RunSeededRecovery(&session);
     return session.ToJson();
   };
-  const std::string first = capture(1);
-  const std::string repeat = capture(1);
-  const std::string threaded = capture(4);
+  const std::string first = capture();
+  const std::string repeat = capture();
+  std::string fresh;
+  std::thread([&] { fresh = capture(); }).join();
   EXPECT_EQ(first, repeat);
-  EXPECT_EQ(first, threaded);
+  EXPECT_EQ(first, fresh);
 }
 
 TEST(Determinism, SweepUnderTelemetryFallsBackToSerialByteIdentically) {
@@ -260,13 +248,10 @@ TEST(Determinism, SweepUnderTelemetryFallsBackToSerialByteIdentically) {
 }
 
 // One seeded cluster run: Poisson stream + MTBF faults + a scripted
-// cross-pod cable death, telemetry optionally installed, planner searches
-// at `search_threads`.
-std::string SeededClusterReportJson(int search_threads,
-                                    telemetry::TelemetrySession* session) {
+// cross-pod cable death, telemetry optionally installed.
+std::string SeededClusterReportJson(telemetry::TelemetrySession* session) {
   cluster::ClusterConfig config;
   config.horizon = Hours(0.5);
-  config.recovery.search_threads = search_threads;
   config.faults.seed = 13;
   config.faults.link_flap_mtbf = Seconds(4e4);
   config.faults.slow_host_mtbf = Seconds(8e4);
@@ -288,22 +273,14 @@ TEST(Determinism, ClusterReportIsByteIdenticalAcrossRepeats) {
   // The full cluster timeline — every admission, preemption, fault
   // delivery, recovery decision and the aggregate metrics — serializes
   // byte-identically on repeat runs, with or without telemetry sampling.
-  const std::string first = SeededClusterReportJson(1, nullptr);
-  const std::string repeat = SeededClusterReportJson(1, nullptr);
+  const std::string first = SeededClusterReportJson(nullptr);
+  const std::string repeat = SeededClusterReportJson(nullptr);
   EXPECT_EQ(first, repeat);
 
   telemetry::TelemetrySession session;
-  const std::string sampled = SeededClusterReportJson(1, &session);
+  const std::string sampled = SeededClusterReportJson(&session);
   EXPECT_GT(session.runs().size(), 0u);
   EXPECT_EQ(first, sampled);
-}
-
-TEST(Determinism, ClusterReportIsThreadCountInvariant) {
-  // Per-job planner searches (the recovery pricers) may fan out across
-  // threads; the cluster timeline must not move by a ULP.
-  const std::string serial = SeededClusterReportJson(1, nullptr);
-  const std::string threaded = SeededClusterReportJson(4, nullptr);
-  EXPECT_EQ(serial, threaded);
 }
 
 TEST(Determinism, TrainingUnderFailuresAtScaleIsBitIdenticalAcrossRuns) {
@@ -330,9 +307,9 @@ TEST(Determinism, TrainingUnderFailuresAtScaleIsBitIdenticalAcrossRuns) {
   EXPECT_EQ(a.goodput, b.goodput);
 }
 
-TEST(Determinism, PlannerSearchOnDegradedSliceIsThreadCountInvariant) {
+TEST(Determinism, PlannerSearchOnDegradedSliceIsBitIdenticalAcrossRuns) {
   // Link health reaches both pricing tiers; the winner on a degraded 16x8
-  // slice must not move by a ULP on repeat or at any re-pricing thread count.
+  // slice must not move by a ULP on repeat.
   const topo::MeshTopology topo(topo::TopologyConfig::Slice(16, 8, true));
   const net::NetworkConfig config;
   plan::PlanRequest request;
@@ -342,14 +319,10 @@ TEST(Determinism, PlannerSearchOnDegradedSliceIsThreadCountInvariant) {
   plan::LinkHealthSet health;
   health.degraded = {
       {topo.LinkBetween(topo.ChipAt({3, 2}), topo.ChipAt({3, 3})), 8.0}};
-  auto search = [&](int threads) {
-    request.search_threads = threads;
-    return plan::FindBestPlan(topo, config, request, health);
-  };
-  const auto baseline = search(1);
-  for (const int threads : {1, 2, 4}) {
-    SCOPED_TRACE("search_threads=" + std::to_string(threads));
-    const auto result = search(threads);
+  const auto baseline = plan::FindBestPlan(topo, config, request, health);
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    SCOPED_TRACE("repeat " + std::to_string(repeat));
+    const auto result = plan::FindBestPlan(topo, config, request, health);
     EXPECT_EQ(baseline.plan, result.plan);
     EXPECT_EQ(baseline.plan.name(), result.plan.name());
     EXPECT_EQ(baseline.predicted_seconds, result.predicted_seconds);
@@ -380,6 +353,140 @@ TEST(Determinism, FourPodTimeOnlySummationHoldsItsEventCountAndTime) {
   EXPECT_EQ(simulator.callbacks_inline(), 577536u);
   EXPECT_EQ(simulator.callbacks_pooled(), 0u);
   EXPECT_EQ(ToMillis(result.total()), 1.9597142857142786);
+}
+
+// --- The run context --------------------------------------------------------
+
+class CountingObserver : public sim::EventObserver {
+ public:
+  void OnSchedule(std::uint64_t, std::int64_t, SimTime, SimTime) override {
+    ++schedules;
+  }
+  void OnFire(std::uint64_t, SimTime) override { ++fires; }
+
+  std::uint64_t schedules = 0;
+  std::uint64_t fires = 0;
+};
+
+// All four sinks, installed for the object's lifetime.
+struct InstalledSinks {
+  trace::TraceRecorder recorder;
+  trace::MetricsRegistry metrics;
+  telemetry::TelemetrySession session;
+  CountingObserver observer;
+  trace::ScopedTrace trace_scope{&recorder};
+  trace::ScopedMetrics metrics_scope{&metrics};
+  telemetry::ScopedTelemetry telemetry_scope{&session};
+  sim::ScopedEventObserver observer_scope{&observer};
+
+  // The names of the registry's metrics.
+  std::vector<std::string> MetricNames() const {
+    std::ostringstream text;
+    metrics.WriteText(text);
+    std::istringstream lines(text.str());
+    std::vector<std::string> names;
+    for (std::string line; std::getline(lines, line);) {
+      names.push_back(line.substr(0, line.find_first_of(" :")));
+    }
+    return names;
+  }
+};
+
+TEST(RunContext, ThrowawayPricingLeavesEverySinkUntouched) {
+  const topo::MeshTopology topo(topo::TopologyConfig::Slice(16, 8, true));
+  const net::NetworkConfig config;
+  plan::PlanRequest request;
+  request.elems = 1 << 16;
+  plan::LinkHealthSet health;
+  health.degraded = {
+      {topo.LinkBetween(topo.ChipAt({3, 2}), topo.ChipAt({3, 3})), 8.0}};
+  const std::string no_telemetry = telemetry::TelemetrySession().ToJson();
+
+  {
+    InstalledSinks sinks;
+    plan::EvaluatePlanOnSimulator(topo, config, health,
+                                  plan::PaperPlan(request), request.elems);
+    EXPECT_EQ(sinks.recorder.event_count(), 0u);
+    EXPECT_TRUE(sinks.MetricNames().empty());
+    EXPECT_EQ(sinks.session.ToJson(), no_telemetry);
+    EXPECT_EQ(sinks.observer.schedules, 0u);
+    EXPECT_EQ(sinks.observer.fires, 0u);
+  }
+  {
+    // An uncached degraded search records only its own plan-search instant
+    // and plan.search.* counters.
+    InstalledSinks sinks;
+    const plan::PlannerResult result =
+        plan::FindBestPlan(topo, config, request, health);
+    EXPECT_GE(result.des_runs, 1);
+    EXPECT_EQ(sinks.recorder.event_count(), 1u);
+    EXPECT_NE(sinks.recorder.ToJson().find("plan-search " +
+                                           result.plan.name()),
+              std::string::npos);
+    trace::MetricsRegistry expected;
+    expected.Counter("plan.search.runs").Add(1);
+    expected.Counter("plan.search.candidates").Add(result.candidates);
+    expected.Counter("plan.search.evaluated").Add(result.evaluated);
+    EXPECT_EQ(sinks.metrics.ToJson(), expected.ToJson());
+    EXPECT_EQ(sinks.session.ToJson(), no_telemetry);
+    EXPECT_EQ(sinks.observer.schedules, 0u);
+    EXPECT_EQ(sinks.observer.fires, 0u);
+  }
+  {
+    // Two tenants shrink or restart around a dead cable: the cluster prices
+    // both slice shapes (a throwaway step simulation each) and searches plans
+    // for the degraded slices. The sinks hold only the cluster's own run.
+    cluster::ClusterConfig cluster_config;
+    cluster_config.horizon = Hours(1);
+    const topo::MeshTopology cluster_topo(cluster_config.topology);
+    cluster_config.scripted_faults =
+        cluster::CrossPodCableFault(cluster_topo, 7, Seconds(50));
+    std::vector<cluster::JobSpec> jobs(2);
+    jobs[0] = {0, "a", 0, 16, 4, 4000, 0};
+    jobs[1] = {1, "b", Seconds(1), 16, 4, 4000, 0};
+    InstalledSinks sinks;
+    cluster::ClusterSimulation cluster(cluster_config, jobs);
+    const cluster::ClusterReport report = cluster.Run();
+    EXPECT_EQ(report.jobs_completed, 2);
+    EXPECT_GT(report.shrinks, 0);
+    // Every event the observer saw is the cluster simulator's own.
+    EXPECT_EQ(sinks.observer.schedules,
+              cluster.simulator().events_scheduled());
+    EXPECT_EQ(sinks.observer.fires, cluster.simulator().events_processed());
+    // The step simulation would add link transfers and ring phases, the
+    // search its plan-search instants.
+    const std::string trace_json = sinks.recorder.ToJson();
+    EXPECT_EQ(trace_json.find("xfer "), std::string::npos);
+    EXPECT_EQ(trace_json.find("reduce-scatter"), std::string::npos);
+    EXPECT_EQ(trace_json.find("plan-search"), std::string::npos);
+    for (const std::string& name : sinks.MetricNames()) {
+      EXPECT_TRUE(name.rfind("cluster.", 0) == 0 || name.rfind("fault.", 0) == 0)
+          << name;
+    }
+    EXPECT_EQ(sinks.session.runs().size(), 1u);
+  }
+}
+
+TEST(RunContext, ScopedSilenceRestoresEverySinkWhenNested) {
+  InstalledSinks sinks;
+  ASSERT_TRUE(sim::CurrentRunContext().any());
+  {
+    sim::ScopedSilence outer;
+    EXPECT_FALSE(sim::CurrentRunContext().any());
+    CountingObserver inner_observer;
+    sim::ScopedEventObserver observe(&inner_observer);
+    {
+      sim::ScopedSilence inner;
+      EXPECT_FALSE(sim::CurrentRunContext().any());
+    }
+    EXPECT_EQ(sim::CurrentRunContext().observer, &inner_observer);
+    EXPECT_EQ(sim::CurrentRunContext().trace, nullptr);
+  }
+  const sim::RunContext& restored = sim::CurrentRunContext();
+  EXPECT_EQ(restored.trace, &sinks.recorder);
+  EXPECT_EQ(restored.metrics, &sinks.metrics);
+  EXPECT_EQ(restored.telemetry, &sinks.session);
+  EXPECT_EQ(restored.observer, &sinks.observer);
 }
 
 }  // namespace

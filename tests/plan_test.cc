@@ -722,27 +722,22 @@ TEST(PlannerBound, ShortlistWalkPricesOnlyCandidatesThatCanWin) {
        {3.0, 3.0, 3.0}, 2, {0, 1, 2}},
   };
   for (const Case& c : cases) {
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE(std::string(c.label) + " threads=" +
-                   std::to_string(threads));
-      std::vector<int> calls(c.bounds.size(), 0);
-      const plan::ShortlistPick pick = plan::PriceShortlist(
-          c.bounds, c.names,
-          [&](int i) {
-            ++calls[i];
-            return c.prices[i];
-          },
-          threads);
-      EXPECT_EQ(pick.index, c.want_index);
-      EXPECT_EQ(pick.seconds, c.prices[c.want_index]);
-      EXPECT_EQ(pick.des_runs, static_cast<int>(c.want_priced.size()));
-      std::vector<int> priced;
-      for (int i = 0; i < static_cast<int>(calls.size()); ++i) {
-        EXPECT_LE(calls[i], 1);
-        if (calls[i] == 1) priced.push_back(i);
-      }
-      EXPECT_EQ(priced, c.want_priced);
+    SCOPED_TRACE(c.label);
+    std::vector<int> calls(c.bounds.size(), 0);
+    const plan::ShortlistPick pick =
+        plan::PriceShortlist(c.bounds, c.names, [&](int i) {
+          ++calls[i];
+          return c.prices[i];
+        });
+    EXPECT_EQ(pick.index, c.want_index);
+    EXPECT_EQ(pick.seconds, c.prices[c.want_index]);
+    EXPECT_EQ(pick.des_runs, static_cast<int>(c.want_priced.size()));
+    std::vector<int> priced;
+    for (int i = 0; i < static_cast<int>(calls.size()); ++i) {
+      EXPECT_LE(calls[i], 1);
+      if (calls[i] == 1) priced.push_back(i);
     }
+    EXPECT_EQ(priced, c.want_priced);
   }
 }
 
@@ -842,25 +837,24 @@ TEST(PlannerBound, EstimateWalkEstimatesOnlyCandidatesThatCanMakeTheShortlist) {
   }
 }
 
-// Chunk-pipelined plans carry no bound, so they survive the first price and
-// fan out across the pool: a threaded search with several survivors must
-// match the serial one exactly, run count included.
-TEST(PlannerBound, ThreadedSearchPricesSurvivorsLikeSerial) {
+// Chunk-pipelined plans carry no bound, so they survive the first price:
+// the search simulates several of them, and a repeat matches exactly, run
+// count included.
+TEST(PlannerBound, ChunkedPlansSurviveTheFirstPrice) {
   const topo::MeshTopology topo(topo::TopologyConfig::Slice(8, 8, true));
   plan::PlanRequest request;
   request.elems = 1 << 16;
   request.max_chunks = 4;
   request.des_top_k = 8;
-  const plan::PlannerResult serial =
+  const plan::PlannerResult first =
       plan::FindBestPlan(topo, net::NetworkConfig{}, request);
-  request.search_threads = 4;
-  const plan::PlannerResult threaded =
+  const plan::PlannerResult repeat =
       plan::FindBestPlan(topo, net::NetworkConfig{}, request);
-  EXPECT_GE(serial.des_runs, 3);
-  EXPECT_EQ(threaded.des_runs, serial.des_runs);
-  EXPECT_EQ(threaded.plan, serial.plan);
-  EXPECT_EQ(threaded.predicted_seconds, serial.predicted_seconds);
-  EXPECT_EQ(threaded.estimated_seconds, serial.estimated_seconds);
+  EXPECT_GE(first.des_runs, 3);
+  EXPECT_EQ(repeat.des_runs, first.des_runs);
+  EXPECT_EQ(repeat.plan, first.plan);
+  EXPECT_EQ(repeat.predicted_seconds, first.predicted_seconds);
+  EXPECT_EQ(repeat.estimated_seconds, first.estimated_seconds);
 }
 
 TEST(Planner, EstimatorPricesFailedLinksIntoTheRanking) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "core/multipod.h"
@@ -448,6 +449,39 @@ TEST_F(RecoverySuite, SubDeadlineBlipIsAMicroStall) {
               Millis(5));
 }
 
+// Chip deaths arrive faster than a checkpoint-free run can finish, and only
+// a restart (which loses all work) is allowed: every retry horizon expires
+// first. The run reports it did not complete, with goodput 0 — not the
+// failure-free makespan over the truncated one.
+TEST_F(RecoverySuite, TruncatedRunReportsZeroGoodput) {
+  core::FaultToleranceOptions options = BaseOptions();
+  const SimTime base = Run(options).timeline.base_seconds;
+  ASSERT_GT(base, 0.0);
+  options.checkpoint_interval = 10 * base;  // no checkpoint before the end
+  options.recovery.allow_wait_for_heal = false;
+  options.recovery.allow_route_around = false;
+  options.recovery.allow_elastic_shrink = false;
+  options.recovery.allow_spare_swap_in = false;
+  const topo::MeshTopology& topo = System().topology();
+  // Past the last retry round's horizon (64x the fault-free makespan).
+  for (SimTime at = FaultAt(); at < 70 * base; at += base / 4) {
+    fault::FaultEvent dead_chip;
+    dead_chip.kind = fault::FaultKind::kChipFailure;
+    dead_chip.chip = static_cast<topo::ChipId>(
+        options.scripted_faults.size() % topo.num_chips());
+    dead_chip.at = at;
+    options.scripted_faults.push_back(dead_chip);
+  }
+
+  const auto result = Run(options);
+  EXPECT_TRUE(result.recovered);  // the recovery ran
+  EXPECT_FALSE(result.timeline.completed);
+  EXPECT_GT(result.timeline.restarts, 0);
+  EXPECT_GT(result.timeline.makespan, 0.0);
+  EXPECT_EQ(result.goodput, 0.0);
+  EXPECT_EQ(result.timeline.goodput(), 0.0);
+}
+
 // --- Degeneration and determinism ------------------------------------------
 
 TEST_F(RecoverySuite, DisabledRecoveryKeepsTheAnalyticModel) {
@@ -494,14 +528,15 @@ TEST_F(RecoverySuite, TimelineBitIdenticalAcrossRepeatsAndThreads) {
   dead_link.degrade_factor = 1024.0;
   options.scripted_faults = {dead_link};
 
-  options.recovery.search_threads = 1;
   const std::string once = Run(options).timeline.ToJson();
   const std::string twice = Run(options).timeline.ToJson();
   EXPECT_EQ(once, twice);
 
-  options.recovery.search_threads = 4;
-  const std::string threaded = Run(options).timeline.ToJson();
-  EXPECT_EQ(once, threaded);
+  // A fresh thread starts with an empty run context and cold callback and
+  // payload pools; the timeline must not notice.
+  std::string fresh;
+  std::thread([&] { fresh = Run(options).timeline.ToJson(); }).join();
+  EXPECT_EQ(once, fresh);
 }
 
 TEST_F(RecoverySuite, ExportsRecoveryMetrics) {

@@ -461,8 +461,8 @@ TEST(MetricsRegistry, RegistriesAreThreadLocal) {
   trace::MetricsRegistry registry;
   trace::ScopedMetrics install(&registry);
   ASSERT_EQ(trace::CurrentMetrics(), &registry);
-  // The installed registry must be invisible from a worker thread: the
-  // globals are thread_local precisely so concurrent sweeps cannot race on
+  // The installed registry must be invisible from a worker thread: the run
+  // context is thread_local precisely so concurrent sweeps cannot race on
   // one registry.
   trace::MetricsRegistry* seen_in_worker = &registry;
   std::thread worker([&] { seen_in_worker = trace::CurrentMetrics(); });
