@@ -8,7 +8,6 @@
 #include "collectives/step_barrier.h"
 #include "common/bfloat16.h"
 #include "common/check.h"
-#include "common/math_util.h"
 #include "sim/simulator.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -16,31 +15,13 @@
 namespace tpu::coll {
 namespace {
 
-// Contiguous chunk layout used by both reduce-scatter and all-gather: the
-// range is divided into ring_size chunks of ceil(len / ring_size) elements
-// (the last chunk may be short or empty).
-Range ChunkOf(const Range& range, int ring_size, int chunk) {
-  const std::int64_t base = CeilDiv(range.size(), ring_size);
-  const std::int64_t begin = std::min(range.end, range.begin + chunk * base);
-  const std::int64_t end = std::min(range.end, begin + base);
-  return Range{begin, end};
-}
-
-// Splits a range into the two per-direction halves used by bidirectional
-// rings. halves[0] travels clockwise (ring order as given), halves[1]
-// counter-clockwise (ring order reversed).
-std::pair<Range, Range> DirectionHalves(const Range& range) {
-  const std::int64_t mid = range.begin + range.size() / 2;
-  return {Range{range.begin, mid}, Range{mid, range.end}};
-}
-
 // One direction of one ring executing reduce-scatter or all-gather over a
 // contiguous payload sub-range. Steps are separated by a per-ring barrier:
 // every rank finishes its step-s transfer before step s+1 starts, which is
 // how the synchronous XLA ring collectives behave.
 class RingPass : public std::enable_shared_from_this<RingPass> {
  public:
-  enum class Kind { kReduceScatter, kAllGather };
+  using Kind = RingOp;
 
   RingPass(net::Network* network, std::vector<topo::ChipId> order,
            std::vector<float*> data, Range range, Kind kind,
@@ -75,16 +56,6 @@ class RingPass : public std::enable_shared_from_this<RingPass> {
  private:
   int n() const { return static_cast<int>(order_.size()); }
 
-  int SendChunkIndex(int rank, int step) const {
-    const int ring = n();
-    if (kind_ == Kind::kReduceScatter) {
-      return ((rank - step) % ring + ring) % ring;
-    }
-    // All-gather: rank starts owning chunk (rank+1) % n (the reduce-scatter
-    // output) and forwards the chunk it most recently received.
-    return ((rank + 1 - step) % ring + ring) % ring;
-  }
-
   void RunStep(int step) {
     auto self = shared_from_this();
     // The barrier's continuation holds the shared_ptr that keeps this pass
@@ -98,8 +69,8 @@ class RingPass : public std::enable_shared_from_this<RingPass> {
       }
     });
 
-    // SendChunkIndex(rank, step) advances by one (mod n) per rank.
-    int chunk_index = SendChunkIndex(0, step);
+    // SendChunkIndex advances by one (mod n) per rank.
+    int chunk_index = SendChunkIndex(kind_, n(), 0, step);
     auto next_chunk = [this, &chunk_index] {
       const Range chunk = chunks_[chunk_index];
       if (++chunk_index == n()) chunk_index = 0;

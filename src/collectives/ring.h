@@ -12,11 +12,14 @@
 // reduce-scatter and ring all-gather, optional bfloat16 wire compression.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/math_util.h"
 #include "common/units.h"
 #include "network/network.h"
 #include "topology/topology.h"
@@ -61,6 +64,37 @@ struct RingSpec {
 // collectives: `range` divided into `parts` chunks of ceil(len / parts)
 // elements (trailing chunks may be short or empty).
 Range ChunkOfRange(const Range& range, int parts, int index);
+
+// The layout of one ring pass, shared by the simulated pass and the
+// event-free ring pricer (plan/ring_pricer.h). ChunkOf is ChunkOfRange
+// without the argument checks.
+inline Range ChunkOf(const Range& range, int ring_size, int chunk) {
+  const std::int64_t base = CeilDiv(range.size(), ring_size);
+  const std::int64_t begin = std::min(range.end, range.begin + chunk * base);
+  const std::int64_t end = std::min(range.end, begin + base);
+  return Range{begin, end};
+}
+
+// Splits a range into the two per-direction halves of a bidirectional ring:
+// first travels clockwise (ring order as given), second counter-clockwise
+// (ring order reversed).
+inline std::pair<Range, Range> DirectionHalves(const Range& range) {
+  const std::int64_t mid = range.begin + range.size() / 2;
+  return {Range{range.begin, mid}, Range{mid, range.end}};
+}
+
+// The two operations a ring pass runs.
+enum class RingOp { kReduceScatter, kAllGather };
+
+// The ChunkOf index ring position `rank` sends at step `step` of a pass
+// over `ring_size` positions. A reduce-scatter rank starts with its own
+// chunk; an all-gather rank starts owning chunk (rank + 1) % n (the
+// reduce-scatter output) and forwards the chunk it most recently received.
+// The index advances by one (mod n) per rank.
+inline int SendChunkIndex(RingOp op, int ring_size, int rank, int step) {
+  const int first = op == RingOp::kReduceScatter ? rank : rank + 1;
+  return ((first - step) % ring_size + ring_size) % ring_size;
+}
 
 // The chunk of `range` that ring position `rank` owns after a reduce-scatter
 // (and therefore contributes during the matching all-gather). With

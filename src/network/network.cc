@@ -102,27 +102,18 @@ SimTime Network::Transmit(const CachedRoute& route, Bytes bytes) {
   SimTime head = now + config_.message_overhead;
   for (const CachedHop& hop : route.hops) {
     LinkState& link = links_[hop.link];
-    const SimTime healthy_serialize =
-        static_cast<double>(bytes) / hop.bandwidth;
-    SimTime serialize = healthy_serialize * link.degradation;
-    // A failed link stalls the message: it eventually "arrives" (so the event
-    // queue drains and simulations terminate), but far past any deadline a
-    // health monitor would set.
-    if (link.failed != 0) serialize += kFailedLinkStall;
-
     // FIFO reservation: no earlier than the link frees up or the head of
     // the message arrives.
-    TPU_CHECK_GE(serialize, 0.0);
-    const SimTime start = std::max({link.free_at, head, now});
-    link.free_at = start + serialize;
-    link.busy_time += serialize;
+    const SimTime ready = head;
+    const auto [healthy_serialize, serialize, start] =
+        ReserveHop(link, hop, bytes, now, head);
 
     if (observer != nullptr) {
       sim::MessageHopRecord hop_record;
       hop_record.link = hop.link;
       hop_record.pod = hop.pod;
       hop_record.type_name = LinkTypeName(hop.type);
-      hop_record.queue = start - head;
+      hop_record.queue = start - ready;
       hop_record.serialize = serialize;
       hop_record.healthy_serialize = healthy_serialize;
       hop_record.latency = hop.latency;
@@ -149,10 +140,9 @@ SimTime Network::Transmit(const CachedRoute& route, Bytes bytes) {
                              static_cast<double>(bytes) * -1.0);
     }
     if (metrics != nullptr) {
-      queue_delay_us_->Record(ToMicros(start - head));
+      queue_delay_us_->Record(ToMicros(start - ready));
       hop_serialize_us_->Record(ToMicros(serialize));
     }
-    head = start + serialize + hop.latency;
 
     switch (hop.type) {
       case topo::LinkType::kMeshX:

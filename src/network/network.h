@@ -10,12 +10,14 @@
 // where each physical link carries two ring edges.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <deque>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/units.h"
 #include "sim/event_observer.h"
 #include "sim/simulator.h"
@@ -87,6 +89,48 @@ class Network {
     topo::ChipId to;
     std::vector<CachedHop> hops;
   };
+
+  // Everything Network tracks about one directed link, in one record so a
+  // hop reads one cache line: its FIFO occupancy (the arithmetic of
+  // sim::FifoResource::ReserveFrom), the *effective* serialize multiplier
+  // (max over active sources) and the depth-counted failure state.
+  struct LinkState {
+    SimTime free_at = 0.0;    // first simulated time the link is idle
+    SimTime busy_time = 0.0;  // total simulated time spent serializing
+    double degradation = 1.0;
+    int failed = 0;
+  };
+
+  // Where one hop's time went.
+  struct HopTiming {
+    SimTime healthy_serialize;  // bytes / bandwidth
+    SimTime serialize;          // scaled by degradation, plus any stall
+    SimTime start;              // when the link took the message
+  };
+
+  // The store-and-forward arithmetic of one hop, the only copy of it: the
+  // message, whose head reaches the link at `head`, waits for the link to
+  // be free and for `now`, occupies it for bytes / bandwidth scaled by its
+  // degradation (plus kFailedLinkStall when failed), and then pays the
+  // hop's latency. Reserves the link in FIFO order and advances `head` to
+  // where the next hop's wait starts. Transmit and the event-free ring
+  // pricer (plan/ring_pricer.h) both call it, so they cannot drift apart.
+  static HopTiming ReserveHop(LinkState& link, const CachedHop& hop,
+                              Bytes bytes, SimTime now, SimTime& head) {
+    HopTiming timing;
+    timing.healthy_serialize = static_cast<double>(bytes) / hop.bandwidth;
+    timing.serialize = timing.healthy_serialize * link.degradation;
+    // A failed link stalls the message: it eventually "arrives" (so the
+    // event queue drains and simulations terminate), but far past any
+    // deadline a health monitor would set.
+    if (link.failed != 0) timing.serialize += kFailedLinkStall;
+    TPU_CHECK_GE(timing.serialize, 0.0);
+    timing.start = std::max({link.free_at, head, now});
+    link.free_at = timing.start + timing.serialize;
+    link.busy_time += timing.serialize;
+    head = timing.start + timing.serialize + hop.latency;
+    return timing;
+  }
 
   Network(const topo::MeshTopology* topology, const NetworkConfig& config,
           sim::Simulator* simulator);
@@ -263,17 +307,6 @@ class Network {
   // Recomputes a link's effective degradation after a source was added or
   // removed, and emits the restore trace instant when the link heals.
   void RefreshDegradation(topo::LinkId link);
-
-  // Everything Network tracks about one directed link, in one record so a
-  // hop reads one cache line: its FIFO occupancy (the arithmetic of
-  // sim::FifoResource::ReserveFrom), the *effective* serialize multiplier
-  // (max over active sources) and the depth-counted failure state.
-  struct LinkState {
-    SimTime free_at = 0.0;    // first simulated time the link is idle
-    SimTime busy_time = 0.0;  // total simulated time spent serializing
-    double degradation = 1.0;
-    int failed = 0;
-  };
 
   // Aborts unless `link` names a link of the topology.
   void CheckLink(topo::LinkId link) const;

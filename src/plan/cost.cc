@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/math_util.h"
 #include "plan/executor.h"
+#include "plan/ring_pricer.h"
 #include "sim/run_context.h"
 #include "sim/simulator.h"
 
@@ -70,8 +71,8 @@ std::array<std::int64_t, 2> DirectionElems(
   if (!options.bidirectional || spec.size() <= 2) {
     return {spec.range.size(), 0};
   }
-  const std::int64_t half = spec.range.size() / 2;
-  return {half, spec.range.size() - half};
+  const auto [cw, ccw] = coll::DirectionHalves(spec.range);
+  return {cw.size(), ccw.size()};
 }
 
 // Calls fn(from, to) for every rank's hop of one ring direction: direction
@@ -352,8 +353,7 @@ SimTime LowerBoundPlanSeconds(const topo::MeshTopology& topo,
 SimTime EvaluatePlanOnSimulator(const topo::MeshTopology& topo,
                                 const net::NetworkConfig& config,
                                 const LinkHealthSet& health,
-                                const CollectivePlan& plan,
-                                std::int64_t elems) {
+                                const LoweredPlan& lowered) {
   // Candidate evaluations are throwaway: silence every sink so the search
   // leaves no spans, counters, samples or event records behind — only the
   // chosen plan's real execution is observable.
@@ -361,7 +361,22 @@ SimTime EvaluatePlanOnSimulator(const topo::MeshTopology& topo,
   sim::Simulator simulator;
   net::Network network(&topo, config, &simulator);
   health.ApplyTo(network);
-  return ExecutePlan(network, plan, elems).total();
+  if (RingPricerApplies(lowered)) return PriceRingPlan(network, lowered);
+  if (lowered.plan.chunks > 1) {
+    return ExecutePlan(network, lowered.plan, lowered.elems).total();
+  }
+  StageTimeline timeline;
+  return RunLoweredPlan(network, lowered, {}, &timeline).total();
+}
+
+SimTime EvaluatePlanOnSimulator(const topo::MeshTopology& topo,
+                                const net::NetworkConfig& config,
+                                const LinkHealthSet& health,
+                                const CollectivePlan& plan,
+                                std::int64_t elems) {
+  sim::ScopedSilence silence;  // so the lowering attaches no trace labels
+  return EvaluatePlanOnSimulator(topo, config, health,
+                                 LowerPlan(topo, plan, elems));
 }
 
 }  // namespace tpu::plan

@@ -1,5 +1,5 @@
 // Three-tier candidate pricing: the estimate ranks, the bound prunes, the
-// discrete-event simulation decides.
+// exact price decides.
 //
 // EstimatePlanSeconds is the fast closed-form tier: it walks the lowered
 // stages' actual group orders and per-hop routes, charging each hop the
@@ -26,10 +26,13 @@
 // a price already seen can be skipped without running it. DESIGN.md §9
 // carries the argument, including the floating-point margin.
 //
-// EvaluatePlanOnSimulator is the exact tier: it executes the plan timing-only
-// on a throwaway discrete-event Network with the health set re-applied, and
-// returns the same simulated seconds the real execution will take —
-// bit-identical, since the simulation is deterministic.
+// EvaluatePlanOnSimulator is the exact tier: the simulated seconds the real
+// execution of the plan will take, bit for bit, on a throwaway Network with
+// the health set re-applied. Unchunked ring plans are priced without the
+// event queue (PriceRingPlan, plan/ring_pricer.h); halving-doubling and
+// chunk-pipelined plans run timing-only on the discrete-event simulator.
+// The name predates the event-free path and stays because the benchmark
+// calls it.
 #pragma once
 
 #include <cstdint>
@@ -103,5 +106,12 @@ SimTime EvaluatePlanOnSimulator(const topo::MeshTopology& topo,
                                 const LinkHealthSet& health,
                                 const CollectivePlan& plan,
                                 std::int64_t elems);
+
+// The same price for a plan already lowered on `topo`, which the search
+// keeps from its estimate pass.
+SimTime EvaluatePlanOnSimulator(const topo::MeshTopology& topo,
+                                const net::NetworkConfig& config,
+                                const LinkHealthSet& health,
+                                const LoweredPlan& lowered);
 
 }  // namespace tpu::plan

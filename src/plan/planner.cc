@@ -118,21 +118,21 @@ PlannerResult FindBestPlan(const topo::MeshTopology& topo,
       },
       request.des_top_k);
 
-  // Discrete-event tier over the shortlist, pruned by the certified bound;
-  // the executed time of the winner is bit-identical to what running it for
+  // Exact tier over the shortlist's kept lowerings, pruned by the certified
+  // bound; the price of the winner is bit-identical to what running it for
   // real will report.
   std::vector<SimTime> bounds;
   std::vector<std::string> shortlist_names;
+  std::vector<LoweredPlan> shortlisted;
   for (const int i : shortlist.indices) {
     bounds.push_back(LowerBoundPlanSeconds(topo, config, health, lowered[i]));
     shortlist_names.push_back(names[i]);
+    shortlisted.push_back(std::move(lowered[i]));
   }
-  lowered.clear();  // the simulations lower their plans again
+  lowered.clear();  // only the shortlist is priced
   const ShortlistPick pick =
       PriceShortlist(bounds, shortlist_names, [&](int i) {
-        return EvaluatePlanOnSimulator(topo, config, health,
-                                       candidates[shortlist.indices[i]],
-                                       request.elems);
+        return EvaluatePlanOnSimulator(topo, config, health, shortlisted[i]);
       });
 
   PlannerResult result;

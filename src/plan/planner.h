@@ -3,9 +3,9 @@
 // FindBestPlan enumerates candidates, shortlists the top K by the
 // fault-aware closed-form estimate (estimating only candidates whose
 // partial estimate can still make the shortlist, ShortlistByEstimate), and
-// returns the one the discrete-event simulation prices cheapest —
+// returns the one the exact tier (EvaluatePlanOnSimulator) prices cheapest —
 // consulting the PlanCache first when one is supplied. The certified lower
-// bound (plan/cost.h) spares the simulation every shortlisted candidate
+// bound (plan/cost.h) spares the exact tier every shortlisted candidate
 // that cannot win (PriceShortlist). Ties break on (time, name), so
 // identical inputs always pick the same plan.
 //
@@ -35,13 +35,13 @@ namespace tpu::plan {
 
 struct PlannerResult {
   CollectivePlan plan;
-  SimTime predicted_seconds = 0;  // discrete-event time of the winner
+  SimTime predicted_seconds = 0;  // exact simulated time of the winner
   SimTime estimated_seconds = 0;  // its closed-form estimate
   bool from_cache = false;
   int candidates = 0;  // plans enumerated (0 on a cache hit)
-  int evaluated = 0;   // plans shortlisted for the simulator
+  int evaluated = 0;   // plans shortlisted for the exact tier
   int estimates = 0;   // plans the closed-form tier estimated in full
-  int des_runs = 0;    // shortlisted plans the simulator actually priced
+  int des_runs = 0;    // shortlisted plans the exact tier actually priced
 };
 
 // The closed-form tier's walk: the `top_k` candidates least by
@@ -62,8 +62,8 @@ EstimateShortlist ShortlistByEstimate(
     const std::vector<std::string>& names,
     const std::function<SimTime(int)>& estimate, int top_k);
 
-// The discrete-event tier's walk over a shortlist. `price(i)` runs
-// candidate i's simulation and must return at least `bounds[i]`. Prices the
+// The exact tier's walk over a shortlist. `price(i)` prices candidate i
+// exactly and must return at least `bounds[i]`. Prices the
 // lowest-bound candidate (the earliest on a tie) alone, then every other
 // whose bound does not exceed that price, and picks the least (price, name)
 // among those priced. A skipped candidate prices at least its bound,

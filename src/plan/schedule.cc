@@ -94,6 +94,7 @@ LoweredPlan LowerPlan(const topo::MeshTopology& topo,
 
   LoweredPlan lowered;
   lowered.plan = plan;
+  lowered.elems = elems;
 
   // Per-chip owned (non-empty) sub-ranges, updated through the RS stages.
   std::vector<std::vector<coll::Range>> owned(

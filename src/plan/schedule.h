@@ -36,6 +36,7 @@ struct LoweredStage {
 
 struct LoweredPlan {
   CollectivePlan plan;
+  std::int64_t elems = 0;  // per-chip payload the plan was lowered over
   std::vector<LoweredStage> stages;
   // The sharded weight update runs after stages[update_after] (the last
   // reduce-scatter stage), on each chip's then-owned elements.
