@@ -9,6 +9,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "topology/topology.h"
 
 namespace tpu::cluster {
 
@@ -139,6 +140,16 @@ bool ParseJobsTrace(std::istream& in, std::vector<JobSpec>* jobs,
     if (job.arrival < 0 || job.size_x <= 0 || job.size_y <= 0 ||
         job.steps <= 0 || job.global_batch <= 0) {
       return fail("non-positive field");
+    }
+    // A job trains data-parallel on every core of its slice: the global
+    // batch needs at least one example per replica.
+    const std::int64_t replicas =
+        std::int64_t{topo::TopologyConfig{}.cores_per_chip} * job.size_x *
+        job.size_y;
+    if (job.global_batch < replicas) {
+      return fail("global_batch " + std::to_string(job.global_batch) +
+                  " is below one example per replica (" +
+                  std::to_string(replicas) + ")");
     }
     job.id = static_cast<int>(jobs->size());
     jobs->push_back(std::move(job));

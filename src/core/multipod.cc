@@ -15,10 +15,12 @@
 #include "plan/executor.h"
 #include "plan/generator.h"
 #include "plan/planner.h"
+#include "plan/ring_pricer.h"
 #include "plan/schedule.h"
 #include "models/blocks.h"
 #include "recover/controller.h"
 #include "sim/event_observer.h"
+#include "sim/run_context.h"
 #include "sim/simulator.h"
 #include "spmd/spmd.h"
 #include "telemetry/probes.h"
@@ -275,6 +277,10 @@ StepBreakdown MultipodSystem::SimulateStep(const models::ModelSpec& spec,
   // Causal tracking is opt-in via `report`; when off, the observer slot is
   // left exactly as found so disabled runs stay bit-identical.
   trace::CriticalPathTracker tracker;
+  // Nothing observes an unreported step with every sink empty: its
+  // summation is priced without the event queue when the ring pricer
+  // applies, bit-identical to the simulation (DESIGN.md §9).
+  const bool observed = report != nullptr || sim::CurrentRunContext().any();
   bool planned = false;
   std::string plan_name;
   SimTime plan_predicted = 0, plan_estimated = 0;
@@ -284,27 +290,37 @@ StepBreakdown MultipodSystem::SimulateStep(const models::ModelSpec& spec,
     sim::ScopedEventObserver observe(
         report != nullptr ? static_cast<sim::EventObserver*>(&tracker)
                           : sim::CurrentEventObserver());
-    if (!options_.collective_planner) {
-      return coll::TwoDGradientSummation(network, summation);
-    }
-    // Planner mode: search (memoized per payload/stride) for the best
-    // schedule and execute it. The wire-format options become search bounds.
-    // The search's throwaway candidate evaluations silence the observer
-    // themselves; only the chosen plan's real execution is tracked.
+    // The wire-format options become search bounds in planner mode.
     plan::PlanRequest request;
     request.elems = summation.elems;
     request.model_parallel_stride = chips_per_group;
     request.allow_bfloat16 = options_.bfloat16_gradients;
     request.allow_bidirectional = options_.bidirectional_rings;
-    const plan::PlannerResult best = plan::FindBestPlan(
-        topology_, options_.network, request, {}, &plan_cache_);
-    planned = true;
-    plan_name = best.plan.name();
-    plan_predicted = best.predicted_seconds;
-    plan_estimated = best.estimated_seconds;
+    plan::CollectivePlan chosen = plan::PaperPlan(request);
+    if (options_.collective_planner) {
+      // Search (memoized per payload/stride) for the best schedule. The
+      // search's throwaway candidate evaluations silence the observer
+      // themselves; only the chosen plan's real execution is tracked.
+      const plan::PlannerResult best = plan::FindBestPlan(
+          topology_, options_.network, request, {}, &plan_cache_);
+      planned = true;
+      chosen = best.plan;
+      plan_name = chosen.name();
+      plan_predicted = best.predicted_seconds;
+      plan_estimated = best.estimated_seconds;
+    }
     plan::PlanExecutionConfig exec_config;
     exec_config.shard_update_seconds = summation.shard_update_seconds;
-    return plan::ExecutePlan(network, best.plan, request.elems, exec_config);
+    if (!observed) {
+      const plan::LoweredPlan lowered =
+          plan::LowerPlan(topology_, chosen, request.elems);
+      if (plan::RingPricerApplies(lowered)) {
+        return plan::SummarizeTimeline(
+            lowered, plan::PriceRingPlan(network, lowered, exec_config));
+      }
+    }
+    if (!planned) return coll::TwoDGradientSummation(network, summation);
+    return plan::ExecutePlan(network, chosen, request.elems, exec_config);
   }();
   step.allreduce = result.reduce_seconds + result.broadcast_seconds;
   // Optional overlap of the gradient reduction with backprop: only time

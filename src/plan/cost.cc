@@ -361,7 +361,9 @@ SimTime EvaluatePlanOnSimulator(const topo::MeshTopology& topo,
   sim::Simulator simulator;
   net::Network network(&topo, config, &simulator);
   health.ApplyTo(network);
-  if (RingPricerApplies(lowered)) return PriceRingPlan(network, lowered);
+  if (RingPricerApplies(lowered)) {
+    return SummarizeTimeline(lowered, PriceRingPlan(network, lowered)).total();
+  }
   if (lowered.plan.chunks > 1) {
     return ExecutePlan(network, lowered.plan, lowered.elems).total();
   }

@@ -29,7 +29,8 @@
 // EvaluatePlanOnSimulator is the exact tier: the simulated seconds the real
 // execution of the plan will take, bit for bit, on a throwaway Network with
 // the health set re-applied. Unchunked ring plans are priced without the
-// event queue (PriceRingPlan, plan/ring_pricer.h); halving-doubling and
+// event queue (PriceRingPlan, plan/ring_pricer.h, which also prices
+// unobserved training steps, sharded update included); halving-doubling and
 // chunk-pipelined plans run timing-only on the discrete-event simulator.
 // The name predates the event-free path and stays because the benchmark
 // calls it.

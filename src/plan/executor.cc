@@ -136,17 +136,50 @@ PlanExecutionResult RunLoweredPlan(net::Network& network,
   TPU_CHECK_GE(finish, 0.0);
   if (update_end < 0) update_end = stage_end[lowered.update_after];
 
-  PlanExecutionResult result;
-  result.max_owned_elems = lowered.max_owned_elems;
-  result.reduce_seconds = stage_end[lowered.update_after] - start;
-  result.update_seconds = update_end - stage_end[lowered.update_after];
-  result.broadcast_seconds = finish - update_end;
-  result.phase_seconds.update = result.update_seconds;
+  timeline->start = start;
+  timeline->stage_end = std::move(stage_end);
+  timeline->update_end = update_end;
+  PlanExecutionResult result = SummarizeTimeline(lowered, *timeline);
+  if (!monitored) return result;
 
-  // Per-stage durations, the five-phase mapping and deadline scoring. A
-  // stage starts where the previous one (or the update after it) ended.
+  // Deadline scoring. A stage starts where the previous one (or the update
+  // after it) ended.
   SimTime stage_start = start;
   for (int i = 0; i < ns; ++i) {
+    coll::PhaseTiming timing;
+    timing.name = lowered.stages[i].name;
+    timing.start = stage_start;
+    timing.expected = stage_expected[i];
+    timing.actual = result.stages[i].seconds;
+    timing.deadline = config.deadline.DeadlineFor(stage_expected[i]);
+    timing.timed_out = timing.actual > timing.deadline;
+    if (timing.timed_out && !result.timed_out) {
+      result.timed_out = true;
+      result.detected_at = stage_start + timing.deadline;
+      result.timed_out_phase = timing.name;
+    }
+    result.phases.push_back(timing);
+    stage_start = i == lowered.update_after ? update_end
+                                            : timeline->stage_end[i];
+  }
+  return result;
+}
+
+PlanExecutionResult SummarizeTimeline(const LoweredPlan& lowered,
+                                      const StageTimeline& timeline) {
+  const std::vector<SimTime>& stage_end = timeline.stage_end;
+  const SimTime update_end = timeline.update_end;
+  PlanExecutionResult result;
+  result.max_owned_elems = lowered.max_owned_elems;
+  result.reduce_seconds = stage_end[lowered.update_after] - timeline.start;
+  result.update_seconds = update_end - stage_end[lowered.update_after];
+  result.broadcast_seconds = stage_end.back() - update_end;
+  result.phase_seconds.update = result.update_seconds;
+
+  // Per-stage durations and the five-phase mapping. A stage starts where
+  // the previous one (or the update after it) ended.
+  SimTime stage_start = timeline.start;
+  for (std::size_t i = 0; i < lowered.stages.size(); ++i) {
     const LoweredStage& stage = lowered.stages[i];
     const SimTime seconds = stage_end[i] - stage_start;
     result.stages.push_back({stage.name, seconds});
@@ -157,27 +190,9 @@ PlanExecutionResult RunLoweredPlan(net::Network& network,
     } else {
       (rs ? sp.y_reduce_scatter : sp.y_all_gather) += seconds;
     }
-    if (monitored) {
-      coll::PhaseTiming timing;
-      timing.name = stage.name;
-      timing.start = stage_start;
-      timing.expected = stage_expected[i];
-      timing.actual = seconds;
-      timing.deadline = config.deadline.DeadlineFor(stage_expected[i]);
-      timing.timed_out = timing.actual > timing.deadline;
-      if (timing.timed_out && !result.timed_out) {
-        result.timed_out = true;
-        result.detected_at = stage_start + timing.deadline;
-        result.timed_out_phase = timing.name;
-      }
-      result.phases.push_back(timing);
-    }
-    stage_start = i == lowered.update_after ? update_end : stage_end[i];
+    stage_start = static_cast<int>(i) == lowered.update_after ? update_end
+                                                              : stage_end[i];
   }
-
-  timeline->start = start;
-  timeline->stage_end = std::move(stage_end);
-  timeline->update_end = update_end;
   return result;
 }
 

@@ -5,8 +5,8 @@
 // externally armed events (fault injections and their healings) fire
 // mid-collective. It runs the sharded-weight-update barrier after the last
 // reduce-scatter, scores each stage against its deadline, and fills the
-// five-phase view. Two front ends run it and differ only in what they
-// report:
+// five-phase view (SummarizeTimeline). Two front ends run it and differ
+// only in what they report:
 //   * coll::TwoDGradientSummation runs the paper's plan (PaperPlan) and
 //     reports a `summation` track umbrella with five phase spans plus the
 //     `summation.*` metrics;
@@ -66,6 +66,13 @@ PlanExecutionResult RunLoweredPlan(net::Network& network,
                                    const LoweredPlan& lowered,
                                    const PlanExecutionConfig& config,
                                    StageTimeline* timeline);
+
+// What a run of `lowered` along `timeline` reports: reduce, update and
+// broadcast seconds, per-stage seconds, the five-phase view and
+// max_owned_elems. Deadline scoring is RunLoweredPlan's own. RunLoweredPlan
+// and the event-free ring pricer (plan/ring_pricer.h) both summarize here.
+PlanExecutionResult SummarizeTimeline(const LoweredPlan& lowered,
+                                      const StageTimeline& timeline);
 
 // Runs `plan` on the network's topology starting at the simulator's current
 // time. `chip_buffers` is empty (timing-only) or one payload pointer per

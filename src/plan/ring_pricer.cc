@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "collectives/all_reduce.h"
 #include "collectives/ring.h"
 #include "common/check.h"
 
@@ -249,8 +248,11 @@ bool RingPricerApplies(const LoweredPlan& lowered) {
                      });
 }
 
-SimTime PriceRingPlan(const net::Network& network, const LoweredPlan& lowered) {
+StageTimeline PriceRingPlan(const net::Network& network,
+                            const LoweredPlan& lowered,
+                            const PlanExecutionConfig& config) {
   TPU_CHECK(RingPricerApplies(lowered));
+  TPU_CHECK(!config.deadline.enabled());
   const coll::CollectiveOptions options = lowered.plan.collective_options();
   const SimTime overhead = network.config().message_overhead;
   std::vector<int> scratch(network.topology().links().size(), -1);
@@ -262,10 +264,10 @@ SimTime PriceRingPlan(const net::Network& network, const LoweredPlan& lowered) {
   // Stages are barriered globally, so every link is idle when one starts
   // (each hop frees its link no later than the message arrives, and the
   // stage ends at the last arrival).
-  const SimTime start = 0.0;
-  SimTime now = start;
-  std::vector<SimTime> stage_end;
-  for (const LoweredStage& stage : lowered.stages) {
+  StageTimeline timeline;
+  SimTime now = timeline.start;
+  for (int i = 0; i < static_cast<int>(lowered.stages.size()); ++i) {
+    const LoweredStage& stage = lowered.stages[i];
     const coll::RingOp op = stage.op == LoweredStage::Op::kReduceScatter
                                 ? coll::RingOp::kReduceScatter
                                 : coll::RingOp::kAllGather;
@@ -282,16 +284,20 @@ SimTime PriceRingPlan(const net::Network& network, const LoweredPlan& lowered) {
       end = std::max(end, it->second);
     }
     now = end;
-    stage_end.push_back(now);
+    timeline.stage_end.push_back(now);
+    if (i != lowered.update_after) continue;
+    // The sharded update's barrier: the simulator schedules each chip's
+    // update at now + seconds and continues at the last one.
+    timeline.update_end = now;
+    if (config.shard_update_seconds) {
+      for (const std::int64_t owned : lowered.owned_elems) {
+        timeline.update_end = std::max(
+            timeline.update_end, now + config.shard_update_seconds(owned));
+      }
+    }
+    now = timeline.update_end;
   }
-
-  // RunLoweredPlan's summary without an update hook: the update ends where
-  // the last reduce-scatter does.
-  coll::GradientSummationResult result;
-  const SimTime update_end = stage_end[lowered.update_after];
-  result.reduce_seconds = update_end - start;
-  result.broadcast_seconds = now - update_end;
-  return result.total();
+  return timeline;
 }
 
 }  // namespace tpu::plan

@@ -9,12 +9,14 @@
 // barrier completions, and prices each distinct component once: components
 // with equal descriptions start at the same time and end at bit-equal
 // times. Every hop goes through Network::ReserveHop, the arithmetic the
-// simulated network uses, so the result equals the simulation bit for bit.
+// simulated network uses, and the sharded-update barrier ends where the
+// simulator's would, so the timeline equals the simulation bit for bit.
 // DESIGN.md §9 carries the argument.
 #pragma once
 
 #include "common/units.h"
 #include "network/network.h"
+#include "plan/executor.h"
 #include "plan/schedule.h"
 
 namespace tpu::plan {
@@ -24,10 +26,15 @@ namespace tpu::plan {
 // run on the simulator.
 bool RingPricerApplies(const LoweredPlan& lowered);
 
-// The total() RunLoweredPlan reports for `lowered` (no update hook, no
-// deadlines) on `network`, bit for bit, without running its simulator.
-// `network` must be idle at simulated time 0 and carry the link health to
-// price under; only its routes and link health are read.
-SimTime PriceRingPlan(const net::Network& network, const LoweredPlan& lowered);
+// The StageTimeline RunLoweredPlan records for `lowered` under `config`
+// from simulated time 0, bit for bit, without running its simulator:
+// every stage end and, with config.shard_update_seconds, the end of the
+// sharded-update barrier. SummarizeTimeline (plan/executor.h) turns it into
+// RunLoweredPlan's result. Deadline monitoring needs the simulator and must
+// be off. `network` must be idle at simulated time 0 and carry the link
+// health to price under; only its routes and link health are read.
+StageTimeline PriceRingPlan(const net::Network& network,
+                            const LoweredPlan& lowered,
+                            const PlanExecutionConfig& config = {});
 
 }  // namespace tpu::plan

@@ -108,6 +108,22 @@ TEST(Workload, ParseRejectsMalformedLinesWithContext) {
   EXPECT_NE(error.find("alexnet"), std::string::npos) << error;
 }
 
+TEST(Workload, ParseRejectsABatchBelowOneExamplePerReplica) {
+  // A 4x4 slice trains 32 replicas, so a batch of 8 cannot be priced; the
+  // cluster used to abort on it. 32 is the smallest batch that parses.
+  std::istringstream tiny("# header\n0 4 4 10 0 bert 8 tiny\n");
+  std::vector<JobSpec> jobs;
+  std::string error;
+  EXPECT_FALSE(ParseJobsTrace(tiny, &jobs, &error));
+  EXPECT_EQ(error.rfind("line 2: ", 0), 0u) << error;
+  EXPECT_NE(error.find("(32)"), std::string::npos) << error;
+
+  std::istringstream smallest("0 4 4 10 0 bert 32 smallest\n");
+  EXPECT_TRUE(ParseJobsTrace(smallest, &jobs, &error)) << error;
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(ClusterSimulation(ClusterConfig{}, jobs).Run().jobs_completed, 1);
+}
+
 TEST(Workload, CommittedExampleTraceLoads) {
   std::vector<JobSpec> jobs;
   std::string error;

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "core/multipod.h"
 #include "models/model_specs.h"
 #include "optim/optimizer.h"
+#include "trace/metrics.h"
+#include "trace/step_profiler.h"
 
 namespace tpu::core {
 namespace {
@@ -273,6 +279,72 @@ TEST(CommOptimization, ReducesModelParallelCommShare) {
   // And the speedup improves accordingly.
   EXPECT_GT(ModelParallelSpeedup(Benchmark::kMaskRcnn, 4, optimized),
             ModelParallelSpeedup(Benchmark::kMaskRcnn, 4, unoptimized));
+}
+
+// An unobserved step prices its summation without the event queue; a step
+// with a metrics sink installed runs it on the simulator. The two must
+// agree in every StepBreakdown field and every profiler phase, bit for bit,
+// for the five submission benchmarks (Transformer and SSD with strided X
+// rings, DLRM with its embedding all-to-all), with the sharded update on
+// and off and with the planner on and off.
+void ExpectUnobservedStepMatchesSimulatedStep(int chips) {
+  const auto bits = [](SimTime t) { return std::bit_cast<std::uint64_t>(t); };
+  for (const Benchmark benchmark :
+       {Benchmark::kBert, Benchmark::kResNet50, Benchmark::kTransformer,
+        Benchmark::kSsd, Benchmark::kDlrm}) {
+    const models::ModelSpec& spec = models::GetModelSpec(benchmark);
+    const models::SubmissionScale scale =
+        models::GetSubmissionScale(benchmark);
+    for (const bool sharded : {true, false}) {
+      for (const bool planner : {false, true}) {
+        SCOPED_TRACE(std::string(spec.name) + " " + std::to_string(chips) +
+                     (sharded ? " sharded" : " replicated") +
+                     (planner ? " planner" : " paper"));
+        SystemOptions options;
+        options.weight_update_sharding = sharded;
+        options.collective_planner = planner;
+        trace::StepProfiler unobserved_profile, observed_profile;
+        const StepBreakdown unobserved =
+            MultipodSystem(chips, options)
+                .SimulateStep(spec, scale.global_batch,
+                              scale.model_parallel_cores, nullptr,
+                              &unobserved_profile);
+        trace::MetricsRegistry metrics;
+        StepBreakdown observed;
+        {
+          trace::ScopedMetrics sink(&metrics);
+          observed = MultipodSystem(chips, options)
+                         .SimulateStep(spec, scale.global_batch,
+                                       scale.model_parallel_cores, nullptr,
+                                       &observed_profile);
+        }
+        // The sink saw the simulator run the summation.
+        EXPECT_GT(metrics.Counter("step.sim.events_processed").value, 0);
+        EXPECT_EQ(bits(unobserved.compute), bits(observed.compute));
+        EXPECT_EQ(bits(unobserved.allreduce), bits(observed.allreduce));
+        EXPECT_EQ(bits(unobserved.overlapped), bits(observed.overlapped));
+        EXPECT_EQ(bits(unobserved.weight_update),
+                  bits(observed.weight_update));
+        EXPECT_EQ(bits(unobserved.embedding_comm),
+                  bits(observed.embedding_comm));
+        EXPECT_EQ(bits(unobserved.step()), bits(observed.step()));
+        for (int phase = 0; phase < trace::kNumStepPhases; ++phase) {
+          const auto p = static_cast<trace::StepPhase>(phase);
+          EXPECT_EQ(bits(unobserved_profile.StepSeconds(0, p)),
+                    bits(observed_profile.StepSeconds(0, p)))
+              << trace::StepPhaseName(p);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimulateStep, UnobservedStepMatchesTheSimulatedStepAt256Chips) {
+  ExpectUnobservedStepMatchesSimulatedStep(256);
+}
+
+TEST(SimulateStep, UnobservedStepMatchesTheSimulatedStepAt1024Chips) {
+  ExpectUnobservedStepMatchesSimulatedStep(1024);
 }
 
 }  // namespace

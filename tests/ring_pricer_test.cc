@@ -3,7 +3,9 @@
 // with and without the Y wrap and 2-long dimensions, at strides 1, 2 and 4,
 // over BERT-sized, tiny (fewer elements than ring ranks) and prime payloads,
 // under failed, degraded, doubly degraded and slowed-row health sets, the
-// price must equal ExecutePlan's total() on a fresh network bit for bit.
+// price must equal ExecutePlan's total() on a fresh network bit for bit,
+// and with a sharded-update hook the pricer's timeline and summary must
+// equal RunLoweredPlan's in every field.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -37,14 +39,60 @@ SimTime Simulated(const topo::MeshTopology& topo,
   return plan::ExecutePlan(network, plan, elems).total();
 }
 
-SimTime Priced(const topo::MeshTopology& topo,
-               const net::NetworkConfig& config,
-               const plan::LinkHealthSet& health,
-               const plan::LoweredPlan& lowered) {
+// A sharded update whose seconds vary with the chip's owned elements, so
+// chips finish at different times and the barrier must take the latest.
+SimTime UpdateSeconds(std::int64_t owned_elems) {
+  return 1e-9 * static_cast<double>(owned_elems) +
+         3e-7 * static_cast<double>(owned_elems % 7);
+}
+
+std::uint64_t Bits(SimTime t) { return std::bit_cast<std::uint64_t>(t); }
+
+// RunLoweredPlan's result and timeline under the update hook on a fresh
+// network, against the pricer's, field by field and bit for bit.
+void ExpectPricedRunMatchesSimulation(const topo::MeshTopology& topo,
+                                      const net::NetworkConfig& config,
+                                      const plan::LinkHealthSet& health,
+                                      const plan::LoweredPlan& lowered) {
+  plan::PlanExecutionConfig exec;
+  exec.shard_update_seconds = UpdateSeconds;
   sim::Simulator simulator;
   net::Network network(&topo, config, &simulator);
   health.ApplyTo(network);
-  return plan::PriceRingPlan(network, lowered);
+  plan::StageTimeline want_timeline;
+  const plan::PlanExecutionResult want =
+      plan::RunLoweredPlan(network, lowered, exec, &want_timeline);
+  sim::Simulator idle_simulator;
+  net::Network idle(&topo, config, &idle_simulator);
+  health.ApplyTo(idle);
+  const plan::StageTimeline timeline = plan::PriceRingPlan(idle, lowered, exec);
+  const plan::PlanExecutionResult got =
+      plan::SummarizeTimeline(lowered, timeline);
+
+  EXPECT_EQ(Bits(timeline.start), Bits(want_timeline.start));
+  ASSERT_EQ(timeline.stage_end.size(), want_timeline.stage_end.size());
+  for (std::size_t i = 0; i < timeline.stage_end.size(); ++i) {
+    EXPECT_EQ(Bits(timeline.stage_end[i]), Bits(want_timeline.stage_end[i]))
+        << "stage " << i;
+  }
+  EXPECT_EQ(Bits(timeline.update_end), Bits(want_timeline.update_end));
+  EXPECT_EQ(Bits(got.reduce_seconds), Bits(want.reduce_seconds));
+  EXPECT_EQ(Bits(got.update_seconds), Bits(want.update_seconds));
+  EXPECT_EQ(Bits(got.broadcast_seconds), Bits(want.broadcast_seconds));
+  EXPECT_EQ(got.max_owned_elems, want.max_owned_elems);
+  const coll::SummationPhaseSeconds& gp = got.phase_seconds;
+  const coll::SummationPhaseSeconds& wp = want.phase_seconds;
+  EXPECT_EQ(Bits(gp.y_reduce_scatter), Bits(wp.y_reduce_scatter));
+  EXPECT_EQ(Bits(gp.x_reduce_scatter), Bits(wp.x_reduce_scatter));
+  EXPECT_EQ(Bits(gp.update), Bits(wp.update));
+  EXPECT_EQ(Bits(gp.x_all_gather), Bits(wp.x_all_gather));
+  EXPECT_EQ(Bits(gp.y_all_gather), Bits(wp.y_all_gather));
+  ASSERT_EQ(got.stages.size(), want.stages.size());
+  for (std::size_t i = 0; i < got.stages.size(); ++i) {
+    EXPECT_STREQ(got.stages[i].name, want.stages[i].name);
+    EXPECT_EQ(Bits(got.stages[i].seconds), Bits(want.stages[i].seconds))
+        << want.stages[i].name;
+  }
 }
 
 bool IsXLink(const topo::Link& link) {
@@ -110,11 +158,11 @@ struct Case {
 };
 
 // Prices every candidate of every case under the first `health_sets`
-// health sets and checks it against the simulation: PriceRingPlan on the
-// plans it applies to, and EvaluatePlanOnSimulator (which falls back to the
-// simulator on the rest) on all, or with `ring_only` on those the ring
-// pricer prices. Returns how many (candidate, health set) pairs the ring
-// pricer priced.
+// health sets and checks it against the simulation:
+// EvaluatePlanOnSimulator (the ring pricer where it applies, the simulator
+// on the rest) on all, or with `ring_only` on those the ring pricer prices,
+// and on ring-priced plans the full result under a non-uniform update hook.
+// Returns how many (candidate, health set) pairs the ring pricer priced.
 int ExpectPricesMatchSimulation(const std::vector<Case>& cases,
                                 const net::NetworkConfig& config,
                                 int max_chunks, int health_sets = 5,
@@ -139,16 +187,12 @@ int ExpectPricesMatchSimulation(const std::vector<Case>& cases,
             SCOPED_TRACE(c.label + " s" + std::to_string(stride) + " e" +
                          std::to_string(elems) + " " + candidate.name() +
                          health.CacheKeyFragment());
-            const SimTime want =
-                Simulated(topo, config, health, candidate, elems);
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(plan::EvaluatePlanOnSimulator(
-                          topo, config, health, lowered)),
-                      std::bit_cast<std::uint64_t>(want));
+            EXPECT_EQ(Bits(plan::EvaluatePlanOnSimulator(topo, config, health,
+                                                         lowered)),
+                      Bits(Simulated(topo, config, health, candidate, elems)));
             if (!plan::RingPricerApplies(lowered)) continue;
             ++priced;
-            EXPECT_EQ(
-                std::bit_cast<std::uint64_t>(Priced(topo, config, health, lowered)),
-                std::bit_cast<std::uint64_t>(want));
+            ExpectPricedRunMatchesSimulation(topo, config, health, lowered);
           }
         }
       }
