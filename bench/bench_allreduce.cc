@@ -67,7 +67,7 @@ int main() {
     coll::GradientSummationConfig config;
     config.elems = elems;
     const SimTime t =
-        coll::PipelinedTwoDGradientSummation(network, config, chunks);
+        coll::PipelinedTwoDGradientSummation(network, config, chunks).total();
     bench::Row("%8d | %12.3f", chunks, ToMillis(t));
   }
 

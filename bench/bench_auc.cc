@@ -3,12 +3,19 @@
 // over 90M samples. This is a *wall-clock* benchmark (google-benchmark):
 // naive library-shaped implementation vs the multithreaded fused one, plus
 // the full 90M-sample measurement printed once.
+//
+// --smoke (or TPU_BENCH_SMOKE=1) runs only the 1M-sample variants, briefly,
+// and the headline measurement on 1M samples.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "metrics/auc.h"
@@ -65,15 +72,37 @@ BENCHMARK(BM_AucFast)->Arg(1 << 20)->Arg(1 << 23)->Unit(benchmark::kMillisecond)
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+  bench::Init();  // rejects unknown flags, parses --smoke
+  std::vector<char*> args;
+  for (int i = 0; i < argc; ++i) {
+    // bench_util's flags are not google-benchmark flags; strip them.
+    if (std::strncmp(argv[i], "--smoke", 7) == 0 ||
+        std::strncmp(argv[i], "--trace=", 8) == 0 ||
+        std::strncmp(argv[i], "--metrics", 9) == 0 ||
+        std::strncmp(argv[i], "--json=", 7) == 0) {
+      continue;
+    }
+    args.push_back(argv[i]);
+  }
+  std::string filter = "--benchmark_filter=BM_Auc(Naive|Fast)/1048576";
+  std::string min_time = "--benchmark_min_time=0.05";
+  if (bench::Smoke()) {
+    args.push_back(filter.data());
+    args.push_back(min_time.data());
+  }
+  int count = static_cast<int>(args.size());
+  benchmark::Initialize(&count, args.data());
   benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
 
   // The paper's headline measurement: one 90M-sample AUC.
-  std::printf("\n90M-sample AUC (Section 4.6; paper: ~60 s library vs ~2 s "
-              "custom C++):\n");
+  const std::size_t samples = bench::Smoke() ? 1'000'000 : 90'000'000;
+  std::printf("\n%zuM-sample AUC (Section 4.6; paper, at 90M: ~60 s library "
+              "vs ~2 s custom C++):\n",
+              samples / 1'000'000);
   std::printf("  hardware threads available: %u (parallel speedup requires "
               ">1)\n", std::thread::hardware_concurrency());
-  const Dataset data = MakeDataset(90'000'000, 17);
+  const Dataset data = MakeDataset(samples, 17);
   ThreadPool pool(std::thread::hardware_concurrency());
   const auto t0 = std::chrono::steady_clock::now();
   const double fast = metrics::AucFast(data.scores, data.labels, pool);

@@ -12,7 +12,6 @@
 #include "plan/cost.h"
 #include "plan/generator.h"
 #include "plan/plan_ir.h"
-#include "plan/planner.h"
 #include "sim/run_context.h"
 #include "telemetry/probes.h"
 #include "telemetry/sampler.h"
@@ -438,28 +437,17 @@ recover::StepPricer ClusterSimulation::BuildPricer(Incarnation* inc) {
   const net::NetworkConfig netcfg = config_.system.network;
   recover::StepPricer pricer;
   pricer.healthy_step = pricing->healthy_step;
-  // Closed-form comm estimate of the current schedule under the slice-local
-  // link snapshot (multipod.cc's degraded-step idiom on the slice mesh).
+  // The slice-local link snapshot scales the healthy all-reduce share, as in
+  // MultipodSystem::SimulateTrainingUnderFailures.
   pricer.degraded_step = [pricing](const plan::LinkHealthSet& health) {
-    const SimTime comm_healthy = pricing->comm->healthy_seconds();
-    if (comm_healthy <= 0) return pricing->healthy_step;
-    const SimTime comm = pricing->comm->Seconds(health);
-    return pricing->healthy_step +
-           pricing->healthy_allreduce * (comm / comm_healthy - 1.0);
+    return recover::DegradedStepSeconds(pricing->healthy_step,
+                                        pricing->healthy_allreduce,
+                                        *pricing->comm, health);
   };
   pricer.replanned_step = [pricing, netcfg](const plan::LinkHealthSet& health) {
-    sim::ScopedSilence silence;
-    const SimTime planned_healthy =
-        plan::FindBestPlan(*pricing->topo, netcfg, pricing->request, {},
-                           pricing->cache.get())
-            .predicted_seconds;
-    const SimTime planned =
-        plan::FindBestPlan(*pricing->topo, netcfg, pricing->request, health,
-                           pricing->cache.get())
-            .predicted_seconds;
-    if (planned_healthy <= 0) return pricing->healthy_step;
-    const double ratio = std::max(planned / planned_healthy, 1.0);
-    return pricing->healthy_step + pricing->healthy_allreduce * (ratio - 1.0);
+    return recover::ReplannedStepSeconds(
+        pricing->healthy_step, pricing->healthy_allreduce, *pricing->topo,
+        netcfg, pricing->request, pricing->cache.get(), health);
   };
   // The cluster-wide shape memo doubles as the shrunk-step oracle: a carved
   // sub-rect is just another slice shape.

@@ -115,32 +115,34 @@ GradientSummationResult TwoDGradientSummation(
   if (trace::MetricsRegistry* metrics = trace::CurrentMetrics()) {
     metrics->Counter("summation.runs").Add(1);
     metrics->Histogram("summation.total_us").Record(ToMicros(end_y_ag - start));
+    // The paper's plan lowers to four stages: Y-RS, X-RS, X-AG, Y-AG.
     metrics->Histogram("summation.y_reduce_scatter_us")
-        .Record(ToMicros(result.phase_seconds.y_reduce_scatter));
+        .Record(ToMicros(result.stages[0].seconds));
     metrics->Histogram("summation.x_reduce_scatter_us")
-        .Record(ToMicros(result.phase_seconds.x_reduce_scatter));
+        .Record(ToMicros(result.stages[1].seconds));
     metrics->Histogram("summation.update_us")
-        .Record(ToMicros(result.phase_seconds.update));
+        .Record(ToMicros(result.update_seconds));
     metrics->Histogram("summation.x_all_gather_us")
-        .Record(ToMicros(result.phase_seconds.x_all_gather));
+        .Record(ToMicros(result.stages[2].seconds));
     metrics->Histogram("summation.y_all_gather_us")
-        .Record(ToMicros(result.phase_seconds.y_all_gather));
+        .Record(ToMicros(result.stages[3].seconds));
   }
   return result;
 }
 
-SimTime PipelinedTwoDGradientSummation(
+GradientSummationResult PipelinedTwoDGradientSummation(
     net::Network& network, const GradientSummationConfig& config, int chunks,
-    std::vector<float*> chip_buffers, PipelinedSummationReport* report) {
+    std::vector<float*> chip_buffers) {
   const topo::MeshTopology& topo = network.topology();
   TPU_CHECK_GT(config.elems, 0);
   TPU_CHECK_GT(chunks, 0);
   sim::Simulator& simulator = network.simulator();
   trace::TraceRecorder* recorder = trace::CurrentTrace();
   const SimTime start = simulator.now();
+  // Chunk phases overlap, so one stage covers the fused collective.
+  const char* const kStage = "pipelined-2d";
   if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
-    // Chunk phases overlap, so a single label covers the fused collective.
-    observer->OnPhase("pipelined-2d");
+    observer->OnPhase(kStage);
   }
   const plan::CollectivePlan paper = PaperPlanFor(config);
 
@@ -149,15 +151,17 @@ SimTime PipelinedTwoDGradientSummation(
   // (Y-RS + X-RS + X-AG + Y-AG), an upper bound on the pipelined time, so
   // pipelining itself can never trip the deadline. The sharded-update hook is
   // compute, not communication, and is excluded from the expectation.
-  const bool monitored = report != nullptr && config.deadline.enabled();
-  if (monitored) {
+  PhaseTiming timing;
+  timing.name = kStage;
+  timing.start = start;
+  if (config.deadline.enabled()) {
     const plan::LoweredPlan full = plan::LowerPlan(topo, paper, config.elems);
     const SimTime y_phase = ExpectedRingPhaseSeconds(
         network, *full.stages[0].specs, config.collective);
     const SimTime x_phase = ExpectedRingPhaseSeconds(
         network, *full.stages[1].specs, config.collective);
-    report->expected = 2 * y_phase + 2 * x_phase;
-    report->deadline = config.deadline.DeadlineFor(report->expected);
+    timing.expected = 2 * y_phase + 2 * x_phase;
+    timing.deadline = config.deadline.DeadlineFor(timing.expected);
   }
 
   // Completion is timestamped by the barrier callback (not by queue drain),
@@ -240,12 +244,20 @@ SimTime PipelinedTwoDGradientSummation(
     metrics->Histogram("summation.pipelined_total_us")
         .Record(ToMicros(elapsed));
   }
-  if (monitored) {
-    report->actual = elapsed;
-    report->timed_out = elapsed > report->deadline;
-    report->detected_at = report->timed_out ? start + report->deadline : -1.0;
+  GradientSummationResult result;
+  result.reduce_seconds = elapsed;
+  result.stages.push_back({kStage, elapsed});
+  if (config.deadline.enabled()) {
+    timing.actual = elapsed;
+    timing.timed_out = elapsed > timing.deadline;
+    result.phases.push_back(timing);
+    if (timing.timed_out) {
+      result.timed_out = true;
+      result.detected_at = start + timing.deadline;
+      result.timed_out_phase = kStage;
+    }
   }
-  return elapsed;
+  return result;
 }
 
 SimTime OneDGradientSummation(net::Network& network,

@@ -9,6 +9,10 @@
 //   4. all-gather along X, then along Y ("broadcast first along X and then
 //      Y in two steps").
 //
+// Every run reports its per-phase seconds one way: GradientSummationResult::
+// stages, the lowered stage list in execution order with the sharded update
+// after stages[update_after]. Step profiles and run reports are built from it.
+//
 // With model parallelism (Transformer), the X rings are *strided*: they hop
 // over the chips that are model-parallel neighbors and connect each shard to
 // its peer on every other model-parallel group (Figure 4, dotted blue rings).
@@ -59,7 +63,7 @@ struct GradientSummationConfig {
   PhaseDeadlineConfig deadline;
 };
 
-// Timing of one monitored collective phase (Y-RS / X-RS / X-AG / Y-AG).
+// Timing of one monitored stage (Y-RS / X-RS / X-AG / Y-AG, ...).
 struct PhaseTiming {
   const char* name = "";
   SimTime start = 0;     // sim-time the phase began
@@ -69,28 +73,29 @@ struct PhaseTiming {
   bool timed_out = false;
 };
 
-// Per-phase wall-clock of one 2-D summation, in schedule order. Always
-// filled (unlike `phases` below, which needs deadline monitoring); feeds the
-// step profiler and trace spans.
-struct SummationPhaseSeconds {
-  SimTime y_reduce_scatter = 0;
-  SimTime x_reduce_scatter = 0;
-  SimTime update = 0;  // sharded weight update (0 when no hook)
-  SimTime x_all_gather = 0;
-  SimTime y_all_gather = 0;
+// Wall clock of one executed stage. `name` is the lowering's static stage
+// label (plan::LoweredStage::name: "Y-reduce-scatter", "X-all-gather", ...)
+// or "pipelined-2d" for the fused chunk-pipelined run, so a result carries
+// no allocated strings.
+struct StageSeconds {
+  const char* name = "";
+  SimTime seconds = 0;
 };
 
 struct GradientSummationResult {
   SimTime reduce_seconds = 0;     // Y reduce-scatter + X reduce-scatter
   SimTime update_seconds = 0;     // sharded weight update (if hooked)
   SimTime broadcast_seconds = 0;  // X all-gather + Y all-gather
-  SummationPhaseSeconds phase_seconds;
+  // The run's one per-phase record: every stage in execution order. The
+  // sharded update (update_seconds) runs after stages[update_after].
+  std::vector<StageSeconds> stages;
+  int update_after = 0;
   // Elements each chip owned at the update point (uniform up to rounding;
   // this is the max across chips).
   std::int64_t max_owned_elems = 0;
 
-  // Filled when config.deadline is enabled: the four communication phases in
-  // schedule order, plus the first-detection summary below.
+  // Filled when config.deadline is enabled: one timing per stage in
+  // execution order, plus the first-detection summary below.
   std::vector<PhaseTiming> phases;
   bool timed_out = false;
   // Sim-time the first phase deadline expired (phase start + deadline);
@@ -122,25 +127,18 @@ GradientSummationResult TwoDGradientSummation(
 // This is how production XLA hides the smaller phase; the sequential
 // schedule above is the conservative default. Functionally identical
 // (slices are disjoint): each slice runs the paper's plan lowered over its
-// own length. Returns elapsed simulated time. The weight-update hook, when
-// present, runs per slice on the owned shard.
+// own length. The weight-update hook, when present, runs per slice on the
+// owned shard, inside the fused run.
 //
-// Phases of different slices overlap, so deadline monitoring (when
-// config.deadline is enabled and `report` is non-null) watches the fused
-// collective as a whole: expected time is the sum of the healthy-network
-// phase estimates for the full payload (an upper bound on the pipelined
-// schedule, hence conservative — no false positives from pipelining itself).
-struct PipelinedSummationReport {
-  SimTime expected = 0;
-  SimTime actual = 0;
-  SimTime deadline = 0;
-  bool timed_out = false;
-  SimTime detected_at = -1.0;  // start + deadline when timed out, else -1
-};
-SimTime PipelinedTwoDGradientSummation(
+// Slice phases overlap, so the result has one fused "pipelined-2d" stage
+// (its seconds are reduce_seconds; update and broadcast are 0). Deadline
+// monitoring (config.deadline) watches that stage as a whole: the expected
+// time is the sum of the healthy-network phase estimates for the full
+// payload, an upper bound on the pipelined schedule, so pipelining itself
+// never trips the deadline.
+GradientSummationResult PipelinedTwoDGradientSummation(
     net::Network& network, const GradientSummationConfig& config, int chunks,
-    std::vector<float*> chip_buffers = {},
-    PipelinedSummationReport* report = nullptr);
+    std::vector<float*> chip_buffers = {});
 
 // Baseline for the ablation bench: a single ring over the whole mesh
 // (boustrophedon over rows), the schedule 2-D summation replaces. Exposes

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "collectives/all_reduce.h"
 #include "common/check.h"
@@ -181,6 +182,29 @@ BlockTimes ModelParallelBlockTimes(models::Benchmark benchmark, int cores,
     times.split_comm *= 3.0;
   }
   return times;
+}
+
+// The step's phases in schedule order: forward, backward, the summation's
+// stages with the step's weight update as "sharded-update" after
+// stages[update_after], then the embedding all-to-all when there is one.
+// The one phase list both the step profiler and the run report take.
+std::vector<trace::RunReport::Phase> StepPhases(
+    const StepBreakdown& step, SimTime forward,
+    const coll::GradientSummationResult& result) {
+  std::vector<trace::RunReport::Phase> phases;
+  phases.reserve(result.stages.size() + 4);
+  phases.push_back({"forward", forward});
+  phases.push_back({"backward", step.compute - forward});
+  for (std::size_t i = 0; i < result.stages.size(); ++i) {
+    phases.push_back({result.stages[i].name, result.stages[i].seconds});
+    if (static_cast<int>(i) == result.update_after) {
+      phases.push_back({"sharded-update", step.weight_update});
+    }
+  }
+  if (step.embedding_comm > 0) {
+    phases.push_back({"embedding-comm", step.embedding_comm});
+  }
+  return phases;
 }
 
 }  // namespace
@@ -364,21 +388,17 @@ StepBreakdown MultipodSystem::SimulateStep(const models::ModelSpec& spec,
       recorder->Complete(track, "embedding-comm", comm_end, step_end);
     }
   }
-  if (profiler != nullptr) {
-    profiler->BeginStep(spec.name);
-    profiler->Record(trace::StepPhase::kForward, forward);
-    profiler->Record(trace::StepPhase::kBackward, step.compute - forward);
-    profiler->Record(trace::StepPhase::kReduceScatterY,
-                     result.phase_seconds.y_reduce_scatter);
-    profiler->Record(trace::StepPhase::kReduceScatterX,
-                     result.phase_seconds.x_reduce_scatter);
-    profiler->Record(trace::StepPhase::kShardedUpdate, step.weight_update);
-    profiler->Record(trace::StepPhase::kAllGatherX,
-                     result.phase_seconds.x_all_gather);
-    profiler->Record(trace::StepPhase::kAllGatherY,
-                     result.phase_seconds.y_all_gather);
-    profiler->Record(trace::StepPhase::kEmbeddingComm, step.embedding_comm);
-    profiler->EndStep();
+  if (profiler != nullptr || report != nullptr) {
+    std::vector<trace::RunReport::Phase> phases =
+        StepPhases(step, forward, result);
+    if (profiler != nullptr) {
+      profiler->BeginStep(spec.name);
+      for (const trace::RunReport::Phase& phase : phases) {
+        profiler->Record(phase.name, phase.seconds);
+      }
+      profiler->EndStep();
+    }
+    if (report != nullptr) report->phases = std::move(phases);
   }
   if (metrics != nullptr) {
     metrics->Histogram("step.total_us").Record(ToMicros(step.step()));
@@ -387,21 +407,6 @@ StepBreakdown MultipodSystem::SimulateStep(const models::ModelSpec& spec,
   }
   if (report != nullptr) {
     report->label = std::string("step ") + spec.name;
-    report->phases.clear();
-    report->phases.push_back({"forward", forward});
-    report->phases.push_back({"backward", step.compute - forward});
-    report->phases.push_back(
-        {"Y-reduce-scatter", result.phase_seconds.y_reduce_scatter});
-    report->phases.push_back(
-        {"X-reduce-scatter", result.phase_seconds.x_reduce_scatter});
-    report->phases.push_back({"sharded-update", step.weight_update});
-    report->phases.push_back(
-        {"X-all-gather", result.phase_seconds.x_all_gather});
-    report->phases.push_back(
-        {"Y-all-gather", result.phase_seconds.y_all_gather});
-    if (step.embedding_comm > 0) {
-      report->phases.push_back({"embedding-comm", step.embedding_comm});
-    }
     report->step_seconds = step.step();
     report->compute_seconds = step.compute;
     report->comm_seconds = step.allreduce + step.embedding_comm;
@@ -554,27 +559,16 @@ FaultTolerantResult MultipodSystem::SimulateTrainingUnderFailures(
         plan::LowerPlan(topology_, plan::PaperPlan(request), request.elems));
     pricer.degraded_step = [healthy_step, healthy_allreduce,
                             comm](const plan::LinkHealthSet& health) {
-      const SimTime comm_healthy = comm->healthy_seconds();
-      if (comm_healthy <= 0) return healthy_step;
-      return healthy_step +
-             healthy_allreduce * (comm->Seconds(health) / comm_healthy - 1.0);
+      return recover::DegradedStepSeconds(healthy_step, healthy_allreduce,
+                                          *comm, health);
     };
     // Planner search under the snapshot vs under full health: the searched
     // schedules' predicted ratio scales the healthy all-reduce share.
     pricer.replanned_step = [this, healthy_step, healthy_allreduce,
                              request](const plan::LinkHealthSet& health) {
-      sim::ScopedSilence silence;
-      const SimTime planned_healthy =
-          plan::FindBestPlan(topology_, options_.network, request, {},
-                             &plan_cache_)
-              .predicted_seconds;
-      const SimTime planned =
-          plan::FindBestPlan(topology_, options_.network, request, health,
-                             &plan_cache_)
-              .predicted_seconds;
-      if (planned_healthy <= 0) return healthy_step;
-      const double ratio = std::max(planned / planned_healthy, 1.0);
-      return healthy_step + healthy_allreduce * (ratio - 1.0);
+      return recover::ReplannedStepSeconds(healthy_step, healthy_allreduce,
+                                           topology_, options_.network,
+                                           request, &plan_cache_, health);
     };
     // Same job carved down to a healthy sub-mesh: a throwaway system on the
     // sliced shape re-prices the full step (memoized per shape — the carve

@@ -161,8 +161,9 @@ class MultipodSystem {
   // sharded-weights path (gradient payload 1/mp, X rings hop over peers).
   // `optimizer` drives the weight-update cost; pass nullptr for SGD.
   // `profiler`, when non-null, receives one profiled step decomposed into
-  // named phases (forward, backward, the five summation phases, embedding
-  // comm). When a trace recorder is installed, the step also lands on the
+  // the step's phase list (forward, backward, the summation's lowered
+  // stages with sharded-update after the update stage, embedding comm), the
+  // same list a `report` carries. When a trace recorder is installed, the step also lands on the
   // timeline: the internal collective simulation runs on a fresh clock, so
   // its spans are shifted past the analytic compute phases via the
   // recorder's time offset.

@@ -12,55 +12,10 @@
 #include "trace/trace.h"
 
 namespace tpu::plan {
-namespace {
 
-// Chunk-pipelined plans have no internal phase boundaries; they run through
-// the pipelined 2-D schedule and report one fused stage.
-PlanExecutionResult ExecuteChunked(net::Network& network,
-                                   const CollectivePlan& plan,
-                                   std::int64_t elems,
-                                   const PlanExecutionConfig& config,
-                                   std::vector<float*> chip_buffers) {
-  coll::GradientSummationConfig summation;
-  summation.elems = elems;
-  summation.collective = plan.collective_options();
-  summation.model_parallel_stride = plan.phases[1].stride;
-  summation.shard_update_seconds = config.shard_update_seconds;
-  summation.deadline = config.deadline;
-
-  coll::PipelinedSummationReport report;
-  const bool monitored = config.deadline.enabled();
-  const SimTime start = network.simulator().now();
-  const SimTime elapsed = coll::PipelinedTwoDGradientSummation(
-      network, summation, plan.chunks, std::move(chip_buffers),
-      monitored ? &report : nullptr);
-
-  PlanExecutionResult result;
-  result.reduce_seconds = elapsed;
-  result.stages.push_back({"pipelined-2d", elapsed});
-  result.phase_seconds.y_reduce_scatter = elapsed;
-  if (monitored) {
-    coll::PhaseTiming timing;
-    timing.name = "pipelined-2d";
-    timing.start = start;
-    timing.expected = report.expected;
-    timing.actual = report.actual;
-    timing.deadline = report.deadline;
-    timing.timed_out = report.timed_out;
-    result.phases.push_back(timing);
-    result.timed_out = report.timed_out;
-    result.detected_at = report.detected_at;
-    if (report.timed_out) result.timed_out_phase = "pipelined-2d";
-  }
-  return result;
-}
-
-}  // namespace
-
-PlanExecutionResult RunLoweredPlan(net::Network& network,
-                                   const LoweredPlan& lowered,
-                                   const PlanExecutionConfig& config,
-                                   StageTimeline* timeline) {
+coll::GradientSummationResult RunLoweredPlan(
+    net::Network& network, const LoweredPlan& lowered,
+    const PlanExecutionConfig& config, StageTimeline* timeline) {
   const int ns = static_cast<int>(lowered.stages.size());
   const int num_chips = network.topology().num_chips();
   const coll::CollectiveOptions options = lowered.plan.collective_options();
@@ -139,7 +94,8 @@ PlanExecutionResult RunLoweredPlan(net::Network& network,
   timeline->start = start;
   timeline->stage_end = std::move(stage_end);
   timeline->update_end = update_end;
-  PlanExecutionResult result = SummarizeTimeline(lowered, *timeline);
+  coll::GradientSummationResult result =
+      SummarizeTimeline(lowered, *timeline);
   if (!monitored) return result;
 
   // Deadline scoring. A stage starts where the previous one (or the update
@@ -165,54 +121,53 @@ PlanExecutionResult RunLoweredPlan(net::Network& network,
   return result;
 }
 
-PlanExecutionResult SummarizeTimeline(const LoweredPlan& lowered,
-                                      const StageTimeline& timeline) {
+coll::GradientSummationResult SummarizeTimeline(
+    const LoweredPlan& lowered, const StageTimeline& timeline) {
   const std::vector<SimTime>& stage_end = timeline.stage_end;
   const SimTime update_end = timeline.update_end;
-  PlanExecutionResult result;
+  coll::GradientSummationResult result;
   result.max_owned_elems = lowered.max_owned_elems;
   result.reduce_seconds = stage_end[lowered.update_after] - timeline.start;
   result.update_seconds = update_end - stage_end[lowered.update_after];
   result.broadcast_seconds = stage_end.back() - update_end;
-  result.phase_seconds.update = result.update_seconds;
+  result.update_after = lowered.update_after;
 
-  // Per-stage durations and the five-phase mapping. A stage starts where
-  // the previous one (or the update after it) ended.
+  // A stage starts where the previous one (or the update after it) ended.
+  result.stages.reserve(lowered.stages.size());
   SimTime stage_start = timeline.start;
   for (std::size_t i = 0; i < lowered.stages.size(); ++i) {
-    const LoweredStage& stage = lowered.stages[i];
-    const SimTime seconds = stage_end[i] - stage_start;
-    result.stages.push_back({stage.name, seconds});
-    const bool rs = stage.op == LoweredStage::Op::kReduceScatter;
-    coll::SummationPhaseSeconds& sp = result.phase_seconds;
-    if (stage.dim == PlanDim::kX) {
-      (rs ? sp.x_reduce_scatter : sp.x_all_gather) += seconds;
-    } else {
-      (rs ? sp.y_reduce_scatter : sp.y_all_gather) += seconds;
-    }
+    result.stages.push_back({lowered.stages[i].name,
+                             stage_end[i] - stage_start});
     stage_start = static_cast<int>(i) == lowered.update_after ? update_end
                                                               : stage_end[i];
   }
   return result;
 }
 
-PlanExecutionResult ExecutePlan(net::Network& network,
-                                const CollectivePlan& plan,
-                                std::int64_t elems,
-                                const PlanExecutionConfig& config,
-                                std::vector<float*> chip_buffers) {
+coll::GradientSummationResult ExecutePlan(net::Network& network,
+                                          const CollectivePlan& plan,
+                                          std::int64_t elems,
+                                          const PlanExecutionConfig& config,
+                                          std::vector<float*> chip_buffers) {
   TPU_CHECK_GT(elems, 0);
   std::string error;
   TPU_CHECK(ValidatePlan(network.topology(), plan, &error)) << error;
   if (plan.chunks > 1) {
-    return ExecuteChunked(network, plan, elems, config,
-                          std::move(chip_buffers));
+    // No stage boundaries: the pipelined summation reports one fused stage.
+    coll::GradientSummationConfig summation;
+    summation.elems = elems;
+    summation.collective = plan.collective_options();
+    summation.model_parallel_stride = plan.phases[1].stride;
+    summation.shard_update_seconds = config.shard_update_seconds;
+    summation.deadline = config.deadline;
+    return coll::PipelinedTwoDGradientSummation(
+        network, summation, plan.chunks, std::move(chip_buffers));
   }
 
   const LoweredPlan lowered =
       LowerPlan(network.topology(), plan, elems, std::move(chip_buffers));
   StageTimeline timeline;
-  PlanExecutionResult result =
+  coll::GradientSummationResult result =
       RunLoweredPlan(network, lowered, config, &timeline);
   const SimTime finish = timeline.stage_end.back();
 

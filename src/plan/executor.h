@@ -4,9 +4,10 @@
 // stages through completion callbacks and runs the simulator once, so
 // externally armed events (fault injections and their healings) fire
 // mid-collective. It runs the sharded-weight-update barrier after the last
-// reduce-scatter, scores each stage against its deadline, and fills the
-// five-phase view (SummarizeTimeline). Two front ends run it and differ
-// only in what they report:
+// reduce-scatter, scores each stage against its deadline, and reports the
+// run as a coll::GradientSummationResult whose `stages` are the lowered
+// stages under their own names (SummarizeTimeline). Two front ends run it
+// and differ only in what they report:
 //   * coll::TwoDGradientSummation runs the paper's plan (PaperPlan) and
 //     reports a `summation` track umbrella with five phase spans plus the
 //     `summation.*` metrics;
@@ -14,7 +15,7 @@
 //     span per stage on the `plan` track plus `plan.exec.runs` and
 //     `plan.exec.total_us`.
 // Chunk-pipelined plans have no stage boundaries; ExecutePlan runs them as
-// coll::PipelinedTwoDGradientSummation.
+// coll::PipelinedTwoDGradientSummation, whose one stage is "pipelined-2d".
 #pragma once
 
 #include <cstdint>
@@ -38,19 +39,6 @@ struct PlanExecutionConfig {
   coll::PhaseDeadlineConfig deadline;
 };
 
-// The summation result plus the per-stage wall clock in execution order
-// (names are the stage labels, e.g. "Y-reduce-scatter"). Chunk-pipelined
-// plans report one fused "pipelined-2d" stage. The five-phase view
-// (`phase_seconds`) folds stages of other shapes into the nearest slot (flat
-// RS -> y_reduce_scatter; a pipelined run is all y_reduce_scatter).
-struct PlanExecutionResult : coll::GradientSummationResult {
-  struct StageSeconds {
-    const char* name = "";
-    SimTime seconds = 0;
-  };
-  std::vector<StageSeconds> stages;
-};
-
 // Simulated-time boundaries of one sequential run, for the reporting front
 // ends' spans.
 struct StageTimeline {
@@ -62,25 +50,24 @@ struct StageTimeline {
 
 // Runs `lowered` (whose specs were lowered on the network's topology)
 // starting at the simulator's current time. Emits no spans or metrics.
-PlanExecutionResult RunLoweredPlan(net::Network& network,
-                                   const LoweredPlan& lowered,
-                                   const PlanExecutionConfig& config,
-                                   StageTimeline* timeline);
+coll::GradientSummationResult RunLoweredPlan(
+    net::Network& network, const LoweredPlan& lowered,
+    const PlanExecutionConfig& config, StageTimeline* timeline);
 
 // What a run of `lowered` along `timeline` reports: reduce, update and
-// broadcast seconds, per-stage seconds, the five-phase view and
-// max_owned_elems. Deadline scoring is RunLoweredPlan's own. RunLoweredPlan
-// and the event-free ring pricer (plan/ring_pricer.h) both summarize here.
-PlanExecutionResult SummarizeTimeline(const LoweredPlan& lowered,
-                                      const StageTimeline& timeline);
+// broadcast seconds, every stage's seconds under its lowered name, the
+// update index and max_owned_elems. Deadline scoring is RunLoweredPlan's
+// own. RunLoweredPlan and the event-free ring pricer (plan/ring_pricer.h)
+// both summarize here.
+coll::GradientSummationResult SummarizeTimeline(const LoweredPlan& lowered,
+                                                const StageTimeline& timeline);
 
 // Runs `plan` on the network's topology starting at the simulator's current
 // time. `chip_buffers` is empty (timing-only) or one payload pointer per
 // chip. The plan must validate on the network's topology.
-PlanExecutionResult ExecutePlan(net::Network& network,
-                                const CollectivePlan& plan,
-                                std::int64_t elems,
-                                const PlanExecutionConfig& config = {},
-                                std::vector<float*> chip_buffers = {});
+coll::GradientSummationResult ExecutePlan(
+    net::Network& network, const CollectivePlan& plan, std::int64_t elems,
+    const PlanExecutionConfig& config = {},
+    std::vector<float*> chip_buffers = {});
 
 }  // namespace tpu::plan

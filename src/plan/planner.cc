@@ -177,7 +177,8 @@ trace::RunReport ProbePlan(const topo::MeshTopology& topo,
   sim::Simulator simulator;
   net::Network network(&topo, config, &simulator);
   health.ApplyTo(network);
-  const PlanExecutionResult result = ExecutePlan(network, plan, elems);
+  const coll::GradientSummationResult result =
+      ExecutePlan(network, plan, elems);
 
   if (estimated_seconds < 0) {
     estimated_seconds =
@@ -193,7 +194,7 @@ trace::RunReport ProbePlan(const topo::MeshTopology& topo,
   report.step_seconds = result.total();
   report.compute_seconds = result.update_seconds;
   report.comm_seconds = result.reduce_seconds + result.broadcast_seconds;
-  for (const PlanExecutionResult::StageSeconds& stage : result.stages) {
+  for (const coll::StageSeconds& stage : result.stages) {
     report.phases.push_back({stage.name, stage.seconds});
   }
   report.has_critical_path = true;

@@ -102,11 +102,11 @@ trace::RunReport ProbePlan(const topo::MeshTopology& topo,
 // One monitored execution, plus the replanned retry when a phase overran its
 // deadline. `second.total()` is meaningful only when `replanned`.
 struct MitigatedSummation {
-  PlanExecutionResult first;
+  coll::GradientSummationResult first;
   bool replanned = false;
   SimTime detected_at = -1.0;  // when the overrun was detected
   PlannerResult replan;        // the fault-aware search result
-  PlanExecutionResult second;  // the replacement plan's execution
+  coll::GradientSummationResult second;  // the replacement plan's run
 };
 
 MitigatedSummation ExecuteWithReplanning(net::Network& network,

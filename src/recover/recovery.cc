@@ -6,6 +6,8 @@
 #include <string>
 
 #include "common/check.h"
+#include "plan/planner.h"
+#include "sim/run_context.h"
 
 namespace tpu::recover {
 namespace {
@@ -76,6 +78,32 @@ const char* StrategyName(Strategy strategy) {
       return "checkpoint-restart";
   }
   return "unknown";
+}
+
+SimTime DegradedStepSeconds(SimTime healthy_step, SimTime healthy_allreduce,
+                            const plan::PlanRepricer& comm,
+                            const plan::LinkHealthSet& health) {
+  const SimTime comm_healthy = comm.healthy_seconds();
+  if (comm_healthy <= 0) return healthy_step;
+  return healthy_step +
+         healthy_allreduce * (comm.Seconds(health) / comm_healthy - 1.0);
+}
+
+SimTime ReplannedStepSeconds(SimTime healthy_step, SimTime healthy_allreduce,
+                             const topo::MeshTopology& topo,
+                             const net::NetworkConfig& config,
+                             const plan::PlanRequest& request,
+                             plan::PlanCache* cache,
+                             const plan::LinkHealthSet& health) {
+  sim::ScopedSilence silence;
+  const SimTime planned_healthy =
+      plan::FindBestPlan(topo, config, request, {}, cache).predicted_seconds;
+  const SimTime planned =
+      plan::FindBestPlan(topo, config, request, health, cache)
+          .predicted_seconds;
+  if (planned_healthy <= 0) return healthy_step;
+  const double ratio = std::max(planned / planned_healthy, 1.0);
+  return healthy_step + healthy_allreduce * (ratio - 1.0);
 }
 
 double EffectiveWorkRate(SimTime healthy_step, SimTime step, SimTime tau,

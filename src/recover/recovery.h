@@ -21,6 +21,9 @@
 #include <vector>
 
 #include "common/units.h"
+#include "network/network.h"
+#include "plan/cache.h"
+#include "plan/cost.h"
 #include "plan/plan_ir.h"
 #include "topology/topology.h"
 #include "trace/metrics.h"
@@ -110,6 +113,25 @@ struct StepPricer {
   // global batch on fewer chips).
   std::function<SimTime(const topo::SubmeshRect&)> shrunk_step;
 };
+
+// The arithmetic behind degraded_step and replanned_step, for a job whose
+// healthy step spends `healthy_allreduce` of `healthy_step` in the gradient
+// all-reduce. Link health scales only that share:
+//   * DegradedStepSeconds: by the current schedule's closed-form comm
+//     estimate under `health` over its healthy estimate;
+//   * ReplannedStepSeconds: by the planner's predicted seconds under
+//     `health` over those under full health, at least 1. Both searches run
+//     silenced and memoize in `cache`.
+// Each returns healthy_step when the healthy comm price is not positive.
+SimTime DegradedStepSeconds(SimTime healthy_step, SimTime healthy_allreduce,
+                            const plan::PlanRepricer& comm,
+                            const plan::LinkHealthSet& health);
+SimTime ReplannedStepSeconds(SimTime healthy_step, SimTime healthy_allreduce,
+                             const topo::MeshTopology& topo,
+                             const net::NetworkConfig& config,
+                             const plan::PlanRequest& request,
+                             plan::PlanCache* cache,
+                             const plan::LinkHealthSet& health);
 
 struct RecoveryCosts {
   SimTime checkpoint_write = 0;   // delta: one checkpoint write

@@ -23,8 +23,10 @@ namespace tpu::trace {
 struct RunReport {
   std::string label;
 
-  // Step decomposition in schedule order (forward, backward, the summation
-  // phases or lowered plan stages, embedding comm, ...).
+  // Decomposition in schedule order. For a step (SimulateStep) it is the
+  // step's one phase list, the same one its StepProfiler records: forward,
+  // backward, the run's lowered stages with sharded-update after the update
+  // stage, then embedding-comm; for a probe (ProbePlan), the plan's stages.
   struct Phase {
     std::string name;
     SimTime seconds = 0;

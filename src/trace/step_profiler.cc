@@ -1,35 +1,16 @@
 #include "trace/step_profiler.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "common/check.h"
 
 namespace tpu::trace {
 
-const char* StepPhaseName(StepPhase phase) {
-  switch (phase) {
-    case StepPhase::kForward:
-      return "forward";
-    case StepPhase::kBackward:
-      return "backward";
-    case StepPhase::kReduceScatterY:
-      return "reduce-scatter-Y";
-    case StepPhase::kReduceScatterX:
-      return "reduce-scatter-X";
-    case StepPhase::kShardedUpdate:
-      return "sharded-update";
-    case StepPhase::kAllGatherX:
-      return "all-gather-X";
-    case StepPhase::kAllGatherY:
-      return "all-gather-Y";
-    case StepPhase::kEmbeddingComm:
-      return "embedding-comm";
-    case StepPhase::kCheckpoint:
-      return "checkpoint";
-    case StepPhase::kInputWait:
-      return "input-wait";
-  }
-  return "unknown";
+int StepProfiler::Find(const std::string& phase) const {
+  const auto it = std::find(names_.begin(), names_.end(), phase);
+  return it == names_.end() ? -1 : static_cast<int>(it - names_.begin());
 }
 
 void StepProfiler::BeginStep(std::string label) {
@@ -40,10 +21,17 @@ void StepProfiler::BeginStep(std::string label) {
   open_ = true;
 }
 
-void StepProfiler::Record(StepPhase phase, SimTime seconds) {
+void StepProfiler::Record(const std::string& phase, SimTime seconds) {
   TPU_CHECK_GE(seconds, 0.0);
   if (!open_) BeginStep();
-  steps_.back().seconds[static_cast<int>(phase)] += seconds;
+  int index = Find(phase);
+  if (index < 0) {
+    index = static_cast<int>(names_.size());
+    names_.push_back(phase);
+  }
+  std::vector<SimTime>& step = steps_.back().seconds;
+  if (static_cast<int>(step.size()) <= index) step.resize(index + 1, 0.0);
+  step[index] += seconds;
 }
 
 void StepProfiler::EndStep() {
@@ -51,24 +39,26 @@ void StepProfiler::EndStep() {
   open_ = false;
 }
 
-SimTime StepProfiler::Total(StepPhase phase) const {
+SimTime StepProfiler::Total(const std::string& phase) const {
   SimTime total = 0;
-  for (const Step& step : steps_) total += step.seconds[static_cast<int>(phase)];
+  for (int step = 0; step < steps(); ++step) total += StepSeconds(step, phase);
   return total;
 }
 
 SimTime StepProfiler::TotalStep() const {
   SimTime total = 0;
-  for (int p = 0; p < kNumStepPhases; ++p) {
-    total += Total(static_cast<StepPhase>(p));
-  }
+  for (const std::string& phase : names_) total += Total(phase);
   return total;
 }
 
-SimTime StepProfiler::StepSeconds(int step, StepPhase phase) const {
+SimTime StepProfiler::StepSeconds(int step, const std::string& phase) const {
   TPU_CHECK_GE(step, 0);
   TPU_CHECK_LT(step, steps());
-  return steps_[step].seconds[static_cast<int>(phase)];
+  const int index = Find(phase);
+  const std::vector<SimTime>& seconds = steps_[step].seconds;
+  return index >= 0 && index < static_cast<int>(seconds.size())
+             ? seconds[index]
+             : 0.0;
 }
 
 void StepProfiler::WriteTable(std::ostream& out) const {
@@ -77,12 +67,11 @@ void StepProfiler::WriteTable(std::ostream& out) const {
   std::snprintf(line, sizeof(line), "%-18s %12s %12s %7s\n", "phase",
                 "total(ms)", "mean(ms)", "%step");
   out << line;
-  for (int p = 0; p < kNumStepPhases; ++p) {
-    const StepPhase phase = static_cast<StepPhase>(p);
+  for (const std::string& phase : names_) {
     const SimTime phase_total = Total(phase);
     if (phase_total <= 0) continue;  // phases that never ran stay silent
     std::snprintf(line, sizeof(line), "%-18s %12.4f %12.4f %6.1f%%\n",
-                  StepPhaseName(phase), ToMillis(phase_total),
+                  phase.c_str(), ToMillis(phase_total),
                   steps() > 0 ? ToMillis(phase_total) / steps() : 0.0,
                   total > 0 ? 100.0 * phase_total / total : 0.0);
     out << line;

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/multipod.h"
 #include "models/model_specs.h"
 #include "optim/optimizer.h"
+#include "plan/planner.h"
+#include "plan/schedule.h"
 #include "trace/metrics.h"
+#include "trace/run_report.h"
 #include "trace/step_profiler.h"
 
 namespace tpu::core {
@@ -328,11 +333,12 @@ void ExpectUnobservedStepMatchesSimulatedStep(int chips) {
         EXPECT_EQ(bits(unobserved.embedding_comm),
                   bits(observed.embedding_comm));
         EXPECT_EQ(bits(unobserved.step()), bits(observed.step()));
-        for (int phase = 0; phase < trace::kNumStepPhases; ++phase) {
-          const auto p = static_cast<trace::StepPhase>(phase);
-          EXPECT_EQ(bits(unobserved_profile.StepSeconds(0, p)),
-                    bits(observed_profile.StepSeconds(0, p)))
-              << trace::StepPhaseName(p);
+        // The same phases under the same names, bit for bit.
+        EXPECT_EQ(unobserved_profile.phases(), observed_profile.phases());
+        for (const std::string& phase : observed_profile.phases()) {
+          EXPECT_EQ(bits(unobserved_profile.StepSeconds(0, phase)),
+                    bits(observed_profile.StepSeconds(0, phase)))
+              << phase;
         }
       }
     }
@@ -345,6 +351,92 @@ TEST(SimulateStep, UnobservedStepMatchesTheSimulatedStepAt256Chips) {
 
 TEST(SimulateStep, UnobservedStepMatchesTheSimulatedStepAt1024Chips) {
   ExpectUnobservedStepMatchesSimulatedStep(1024);
+}
+
+// One phase taxonomy: an observed step's run report, its step profile and
+// its critical path all name the step's phases the same way. The list is
+// forward, backward, the executed plan's lowered stage names with
+// "sharded-update" after the update stage, then embedding-comm when the
+// step has one. BERT runs plain Y/X rings, Transformer strided X rings.
+TEST(SimulateStep, ReportProfilerAndCriticalPathShareOnePhaseList) {
+  constexpr int kChips = 256;
+  for (const Benchmark benchmark :
+       {Benchmark::kBert, Benchmark::kTransformer}) {
+    const models::ModelSpec& spec = models::GetModelSpec(benchmark);
+    const models::SubmissionScale scale =
+        models::GetSubmissionScale(benchmark);
+    for (const bool planner : {false, true}) {
+      SCOPED_TRACE(std::string(spec.name) + (planner ? " planner" : " paper"));
+      SystemOptions options;
+      options.collective_planner = planner;
+      MultipodSystem system(kChips, options);
+      trace::StepProfiler profiler;
+      trace::RunReport report;
+      const StepBreakdown step =
+          system.SimulateStep(spec, scale.global_batch,
+                              scale.model_parallel_cores, nullptr, &profiler,
+                              &report);
+
+      // The plan the step ran, lowered the way SimulateStep lowers it.
+      const int stride = std::max(1, scale.model_parallel_cores / 2);
+      plan::PlanRequest request;
+      request.elems = std::max<std::int64_t>(1, spec.parameters / stride);
+      request.model_parallel_stride = stride;
+      request.allow_bfloat16 = options.bfloat16_gradients;
+      request.allow_bidirectional = options.bidirectional_rings;
+      const plan::CollectivePlan ran =
+          planner ? plan::FindBestPlan(system.topology(), options.network,
+                                       request)
+                        .plan
+                  : plan::PaperPlan(request);
+      if (planner) {
+        EXPECT_EQ(report.plan_name, ran.name());
+      }
+      const plan::LoweredPlan lowered =
+          plan::LowerPlan(system.topology(), ran, request.elems);
+      std::vector<std::string> want = {"forward", "backward"};
+      for (std::size_t i = 0; i < lowered.stages.size(); ++i) {
+        want.push_back(lowered.stages[i].name);
+        if (static_cast<int>(i) == lowered.update_after) {
+          want.push_back("sharded-update");
+        }
+      }
+      if (step.embedding_comm > 0) want.push_back("embedding-comm");
+
+      std::vector<std::string> reported;
+      for (const trace::RunReport::Phase& phase : report.phases) {
+        reported.push_back(phase.name);
+      }
+      EXPECT_EQ(reported, want);
+      EXPECT_EQ(profiler.phases(), want);
+      ASSERT_EQ(profiler.steps(), 1);
+      for (const trace::RunReport::Phase& phase : report.phases) {
+        EXPECT_EQ(profiler.StepSeconds(0, phase.name), phase.seconds)
+            << phase.name;
+      }
+      EXPECT_EQ(profiler.StepSeconds(0, "sharded-update"), step.weight_update);
+
+      ASSERT_TRUE(report.has_critical_path);
+      ASSERT_FALSE(report.critical_path.segments.empty());
+      int labeled = 0;
+      for (const trace::PathSegment& segment :
+           report.critical_path.segments) {
+        if (segment.phase.empty()) continue;
+        ++labeled;
+        EXPECT_NE(std::find(want.begin(), want.end(), segment.phase),
+                  want.end())
+            << segment.phase;
+      }
+      EXPECT_GT(labeled, 0);
+      for (const trace::PhaseContribution& contribution :
+           report.critical_path.phases) {
+        if (contribution.phase.empty()) continue;
+        EXPECT_NE(std::find(want.begin(), want.end(), contribution.phase),
+                  want.end())
+            << contribution.phase;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -125,12 +125,13 @@ TEST(Determinism, CausalTrackerOnOrOffLeavesCollectiveTimingBitIdentical) {
   EXPECT_EQ(off.reduce_seconds, on.reduce_seconds);
   EXPECT_EQ(off.update_seconds, on.update_seconds);
   EXPECT_EQ(off.broadcast_seconds, on.broadcast_seconds);
-  EXPECT_EQ(off.phase_seconds.y_reduce_scatter,
-            on.phase_seconds.y_reduce_scatter);
-  EXPECT_EQ(off.phase_seconds.x_reduce_scatter,
-            on.phase_seconds.x_reduce_scatter);
-  EXPECT_EQ(off.phase_seconds.x_all_gather, on.phase_seconds.x_all_gather);
-  EXPECT_EQ(off.phase_seconds.y_all_gather, on.phase_seconds.y_all_gather);
+  ASSERT_EQ(off.stages.size(), 4u);
+  ASSERT_EQ(on.stages.size(), off.stages.size());
+  for (std::size_t i = 0; i < off.stages.size(); ++i) {
+    EXPECT_STREQ(off.stages[i].name, on.stages[i].name);
+    EXPECT_EQ(off.stages[i].seconds, on.stages[i].seconds)
+        << off.stages[i].name;
+  }
 }
 
 TEST(Determinism, SimulateStepWithRunReportIsBitIdentical) {

@@ -453,23 +453,28 @@ TEST(Detection, PipelinedReportsTimeouts) {
   const std::int64_t elems = 1 << 18;
   coll::GradientSummationConfig config = MonitoredConfig(elems, 3.0);
   Rig clean;
-  coll::PipelinedSummationReport clean_report;
-  coll::PipelinedTwoDGradientSummation(clean.network, config, 4, {},
-                                       &clean_report);
-  EXPECT_FALSE(clean_report.timed_out);
-  EXPECT_GT(clean_report.expected, 0.0);
-  EXPECT_LE(clean_report.actual, clean_report.deadline);
+  const coll::GradientSummationResult clean_result =
+      coll::PipelinedTwoDGradientSummation(clean.network, config, 4);
+  EXPECT_FALSE(clean_result.timed_out);
+  ASSERT_EQ(clean_result.phases.size(), 1u);
+  const coll::PhaseTiming& clean_timing = clean_result.phases[0];
+  EXPECT_STREQ(clean_timing.name, "pipelined-2d");
+  EXPECT_GT(clean_timing.expected, 0.0);
+  EXPECT_EQ(clean_timing.actual, clean_result.total());
+  EXPECT_LE(clean_timing.actual, clean_timing.deadline);
 
   Rig sick;
   const auto link = sick.topo.LinkBetween(sick.topo.ChipAt({3, 2}),
                                           sick.topo.ChipAt({3, 3}));
   sick.network.FailLink(link);
-  coll::PipelinedSummationReport sick_report;
-  coll::PipelinedTwoDGradientSummation(sick.network, config, 4, {},
-                                       &sick_report);
-  EXPECT_TRUE(sick_report.timed_out);
-  EXPECT_GT(sick_report.detected_at, 0.0);
-  EXPECT_LT(sick_report.detected_at, sick_report.actual);
+  const coll::GradientSummationResult sick_result =
+      coll::PipelinedTwoDGradientSummation(sick.network, config, 4);
+  EXPECT_TRUE(sick_result.timed_out);
+  ASSERT_EQ(sick_result.phases.size(), 1u);
+  EXPECT_TRUE(sick_result.phases[0].timed_out);
+  EXPECT_STREQ(sick_result.timed_out_phase, "pipelined-2d");
+  EXPECT_GT(sick_result.detected_at, 0.0);
+  EXPECT_LT(sick_result.detected_at, sick_result.phases[0].actual);
 }
 
 TEST(HealthMonitor, AccountsDetectionsAndFalsePositives) {

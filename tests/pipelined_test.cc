@@ -49,9 +49,14 @@ TEST_P(PipelinedCorrectness, SumsMatchEverywhere) {
   Rig rig(4, 4, /*elems=*/509, 77);  // prime size stresses slicing
   GradientSummationConfig config;
   config.elems = 509;
-  const SimTime elapsed =
+  const GradientSummationResult result =
       PipelinedTwoDGradientSummation(rig.network, config, chunks, rig.ptrs);
-  EXPECT_GT(elapsed, 0.0);
+  EXPECT_GT(result.total(), 0.0);
+  // One fused stage carries the whole run.
+  ASSERT_EQ(result.stages.size(), 1u);
+  EXPECT_STREQ(result.stages[0].name, "pipelined-2d");
+  EXPECT_EQ(result.stages[0].seconds, result.total());
+  EXPECT_TRUE(result.phases.empty());  // unmonitored
   for (int chip = 0; chip < rig.topo.num_chips(); ++chip) {
     for (std::int64_t i = 0; i < 509; ++i) {
       ASSERT_EQ(rig.buffers[chip][i], rig.expected[i])
@@ -122,7 +127,7 @@ TEST(Pipelined, OverlapWinsWhenBandwidthBound) {
 
   Rig pipelined(16, 8, 1, 1);
   const SimTime pipe =
-      PipelinedTwoDGradientSummation(pipelined.network, config, 4);
+      PipelinedTwoDGradientSummation(pipelined.network, config, 4).total();
   EXPECT_LT(pipe, seq);
   EXPECT_GT(pipe, seq * 0.5);  // gains are bounded by the dominant Y phase
 }
@@ -139,7 +144,7 @@ TEST(Pipelined, OverlapLosesWhenLatencyBound) {
       TwoDGradientSummation(sequential.network, config).total();
   Rig pipelined(16, 8, 1, 1);
   const SimTime pipe =
-      PipelinedTwoDGradientSummation(pipelined.network, config, 8);
+      PipelinedTwoDGradientSummation(pipelined.network, config, 8).total();
   EXPECT_GT(pipe, seq);
 }
 
@@ -149,7 +154,8 @@ TEST(Pipelined, OneChunkApproximatesSequential) {
   config.elems = elems;
   Rig a(8, 8, 1, 1), b(8, 8, 1, 1);
   const SimTime seq = TwoDGradientSummation(a.network, config).total();
-  const SimTime pipe = PipelinedTwoDGradientSummation(b.network, config, 1);
+  const SimTime pipe =
+      PipelinedTwoDGradientSummation(b.network, config, 1).total();
   EXPECT_NEAR(pipe, seq, seq * 0.05);
 }
 

@@ -198,22 +198,21 @@ void ExpectBitIdentical(const topo::TopologyConfig& config, int stride) {
   plan::PlanExecutionConfig exec_config;
   exec_config.shard_update_seconds = update_cost;
   exec_config.deadline = monitor.ToPhaseDeadline();
-  const plan::PlanExecutionResult got = plan::ExecutePlan(
+  const coll::GradientSummationResult got = plan::ExecutePlan(
       planned.network, plan::PaperPlan(request), elems, exec_config);
 
   EXPECT_EQ(got.reduce_seconds, want.reduce_seconds);
   EXPECT_EQ(got.update_seconds, want.update_seconds);
   EXPECT_EQ(got.broadcast_seconds, want.broadcast_seconds);
   EXPECT_EQ(got.total(), want.total());
-  EXPECT_EQ(got.phase_seconds.y_reduce_scatter,
-            want.phase_seconds.y_reduce_scatter);
-  EXPECT_EQ(got.phase_seconds.x_reduce_scatter,
-            want.phase_seconds.x_reduce_scatter);
-  EXPECT_EQ(got.phase_seconds.update, want.phase_seconds.update);
-  EXPECT_EQ(got.phase_seconds.x_all_gather,
-            want.phase_seconds.x_all_gather);
-  EXPECT_EQ(got.phase_seconds.y_all_gather,
-            want.phase_seconds.y_all_gather);
+  EXPECT_EQ(got.update_after, want.update_after);
+  ASSERT_EQ(want.stages.size(), 4u);
+  ASSERT_EQ(got.stages.size(), want.stages.size());
+  for (std::size_t i = 0; i < want.stages.size(); ++i) {
+    EXPECT_STREQ(got.stages[i].name, want.stages[i].name);
+    EXPECT_EQ(got.stages[i].seconds, want.stages[i].seconds)
+        << want.stages[i].name;
+  }
   EXPECT_EQ(got.max_owned_elems, want.max_owned_elems);
 
   ASSERT_EQ(got.phases.size(), want.phases.size());

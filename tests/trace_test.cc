@@ -199,7 +199,7 @@ TEST(TracedSimulation, SummationEmitsAllSixPhaseSpans) {
 
 // The paper's plan through ExecutePlan on RunSmallSummation's rig and
 // payload: the same stage runner under the planner's reporting format.
-plan::PlanExecutionResult RunSmallPlan() {
+coll::GradientSummationResult RunSmallPlan() {
   sim::Simulator simulator;
   topo::MeshTopology topo(topo::TopologyConfig::Slice(4, 4, /*wrap_y=*/true));
   net::Network network(&topo, {}, &simulator);
@@ -246,7 +246,7 @@ TEST(TracedSimulation, SummationReportsOnlyTheSummationFormat) {
 TEST(TracedSimulation, ExecutePlanReportsOnlyThePlanFormat) {
   trace::TraceRecorder recorder;
   trace::MetricsRegistry metrics;
-  plan::PlanExecutionResult result;
+  coll::GradientSummationResult result;
   {
     trace::ScopedTrace scoped_trace(&recorder);
     trace::ScopedMetrics scoped_metrics(&metrics);
@@ -271,22 +271,31 @@ TEST(TracedSimulation, ExecutePlanReportsOnlyThePlanFormat) {
   const coll::GradientSummationResult fixed = RunSmallSummation();
   EXPECT_EQ(result.total(), fixed.total());
   ASSERT_EQ(result.stages.size(), 4u);
-  EXPECT_EQ(result.stages[0].seconds, fixed.phase_seconds.y_reduce_scatter);
-  EXPECT_EQ(result.stages[3].seconds, fixed.phase_seconds.y_all_gather);
+  ASSERT_EQ(fixed.stages.size(), 4u);
+  EXPECT_EQ(result.stages[0].seconds, fixed.stages[0].seconds);
+  EXPECT_EQ(result.stages[3].seconds, fixed.stages[3].seconds);
 }
 
+// Every run fills its stage list, unmonitored too: the paper's four stages
+// in schedule order, the update after the X reduce-scatter, and seconds that
+// add up to the reduce and broadcast totals.
 TEST(TracedSimulation, PhaseSecondsAlwaysFilledAndConsistent) {
   const coll::GradientSummationResult result = RunSmallSummation();
-  const coll::SummationPhaseSeconds& p = result.phase_seconds;
-  EXPECT_GT(p.y_reduce_scatter, 0.0);
-  EXPECT_GT(p.x_reduce_scatter, 0.0);
-  EXPECT_GT(p.update, 0.0);
-  EXPECT_GT(p.x_all_gather, 0.0);
-  EXPECT_GT(p.y_all_gather, 0.0);
-  EXPECT_DOUBLE_EQ(p.y_reduce_scatter + p.x_reduce_scatter,
+  ASSERT_EQ(result.stages.size(), 4u);
+  EXPECT_STREQ(result.stages[0].name, "Y-reduce-scatter");
+  EXPECT_STREQ(result.stages[1].name, "X-reduce-scatter");
+  EXPECT_STREQ(result.stages[2].name, "X-all-gather");
+  EXPECT_STREQ(result.stages[3].name, "Y-all-gather");
+  EXPECT_EQ(result.update_after, 1);
+  for (const coll::StageSeconds& stage : result.stages) {
+    EXPECT_GT(stage.seconds, 0.0) << stage.name;
+  }
+  EXPECT_GT(result.update_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(result.stages[0].seconds + result.stages[1].seconds,
                    result.reduce_seconds);
-  EXPECT_DOUBLE_EQ(p.update, result.update_seconds);
-  EXPECT_DOUBLE_EQ(p.x_all_gather + p.y_all_gather, result.broadcast_seconds);
+  EXPECT_DOUBLE_EQ(result.stages[2].seconds + result.stages[3].seconds,
+                   result.broadcast_seconds);
+  EXPECT_TRUE(result.phases.empty());  // unmonitored
 }
 
 TEST(TracedSimulation, FaultInjectionEmitsInstantEvents) {
@@ -562,33 +571,63 @@ TEST(Simulator, RunUntilStopAtLastEventLeavesClockAtQuiescence) {
 TEST(StepProfiler, AccumulatesPhasesPerStep) {
   trace::StepProfiler profiler;
   profiler.BeginStep("step0");
-  profiler.Record(trace::StepPhase::kForward, Millis(1));
-  profiler.Record(trace::StepPhase::kBackward, Millis(2));
-  profiler.Record(trace::StepPhase::kBackward, Millis(1));  // accumulates
+  profiler.Record("forward", Millis(1));
+  profiler.Record("backward", Millis(2));
+  profiler.Record("backward", Millis(1));  // accumulates
   profiler.EndStep();
   profiler.BeginStep("step1");
-  profiler.Record(trace::StepPhase::kReduceScatterY, Millis(4));
+  profiler.Record("Y-reduce-scatter", Millis(4));
   profiler.EndStep();
 
   EXPECT_EQ(profiler.steps(), 2);
-  EXPECT_DOUBLE_EQ(profiler.Total(trace::StepPhase::kBackward), Millis(3));
-  EXPECT_DOUBLE_EQ(profiler.StepSeconds(0, trace::StepPhase::kForward),
-                   Millis(1));
-  EXPECT_DOUBLE_EQ(profiler.StepSeconds(1, trace::StepPhase::kReduceScatterY),
-                   Millis(4));
+  EXPECT_DOUBLE_EQ(profiler.Total("backward"), Millis(3));
+  EXPECT_DOUBLE_EQ(profiler.StepSeconds(0, "forward"), Millis(1));
+  EXPECT_DOUBLE_EQ(profiler.StepSeconds(1, "Y-reduce-scatter"), Millis(4));
+  // A phase a step never recorded reads 0 for that step.
+  EXPECT_DOUBLE_EQ(profiler.StepSeconds(0, "Y-reduce-scatter"), 0.0);
+  EXPECT_DOUBLE_EQ(profiler.StepSeconds(1, "forward"), 0.0);
   EXPECT_DOUBLE_EQ(profiler.TotalStep(), Millis(8));
 
   std::ostringstream table;
   profiler.WriteTable(table);
   EXPECT_NE(table.str().find("forward"), std::string::npos);
-  EXPECT_NE(table.str().find("reduce-scatter-Y"), std::string::npos);
+  EXPECT_NE(table.str().find("Y-reduce-scatter"), std::string::npos);
   // Phases never recorded are omitted from the table.
   EXPECT_EQ(table.str().find("embedding-comm"), std::string::npos);
 }
 
+// The profiler's taxonomy is whatever names it was given, in first-seen
+// order across steps.
 TEST(StepProfiler, PhaseNamesCoverTheTaxonomy) {
-  for (int i = 0; i < trace::kNumStepPhases; ++i) {
-    EXPECT_STRNE(trace::StepPhaseName(static_cast<trace::StepPhase>(i)), "");
+  trace::StepProfiler profiler;
+  profiler.BeginStep("a");
+  profiler.Record("forward", Millis(1));
+  profiler.Record("X-reduce-scatter", Millis(2));
+  profiler.Record("sharded-update", Millis(3));
+  profiler.EndStep();
+  profiler.BeginStep("b");
+  profiler.Record("forward", Millis(4));
+  profiler.Record("flat-reduce-scatter", Millis(5));
+  profiler.Record("X-reduce-scatter", Millis(6));
+  profiler.EndStep();
+  EXPECT_EQ(profiler.steps(), 2);
+  const std::vector<std::string> want = {"forward", "X-reduce-scatter",
+                                         "sharded-update",
+                                         "flat-reduce-scatter"};
+  EXPECT_EQ(profiler.phases(), want);
+  EXPECT_DOUBLE_EQ(profiler.StepSeconds(0, "sharded-update"), Millis(3));
+  EXPECT_DOUBLE_EQ(profiler.StepSeconds(1, "sharded-update"), 0.0);
+  EXPECT_DOUBLE_EQ(profiler.Total("X-reduce-scatter"), Millis(8));
+  EXPECT_DOUBLE_EQ(profiler.Total("never-recorded"), 0.0);
+  EXPECT_DOUBLE_EQ(profiler.TotalStep(), Millis(21));
+  // The table lists the phases in first-seen order.
+  std::ostringstream table;
+  profiler.WriteTable(table);
+  std::size_t at = 0;
+  for (const std::string& phase : want) {
+    const std::size_t found = table.str().find(phase, at);
+    ASSERT_NE(found, std::string::npos) << phase;
+    at = found;
   }
 }
 
@@ -598,9 +637,8 @@ TEST(StepProfiler, EmptyRunReportIsWellFormed) {
   trace::StepProfiler profiler;
   EXPECT_EQ(profiler.steps(), 0);
   EXPECT_DOUBLE_EQ(profiler.TotalStep(), 0.0);
-  for (int i = 0; i < trace::kNumStepPhases; ++i) {
-    EXPECT_DOUBLE_EQ(profiler.Total(static_cast<trace::StepPhase>(i)), 0.0);
-  }
+  EXPECT_TRUE(profiler.phases().empty());
+  EXPECT_DOUBLE_EQ(profiler.Total("forward"), 0.0);
   std::ostringstream table;
   profiler.WriteTable(table);
   EXPECT_EQ(table.str().find("nan"), std::string::npos);
