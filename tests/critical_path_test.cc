@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -46,6 +47,45 @@ SummationRun RunTrackedSummation(double factor) {
   run.result = coll::TwoDGradientSummation(network, config);
   run.report = tracker.Analyze();
   return run;
+}
+
+// One tracked 2-D gradient summation on an 8x8 slice with one mesh-Y link
+// degraded x4 for the whole run and one mesh-X link that fails mid-run and
+// heals before the run ends. Returns its RunReport JSON followed by the
+// report's WriteText: every table Analyze fills (segments, links, phases,
+// slack, what-if), as bytes.
+std::string DegradedRunReportText() {
+  const topo::MeshTopology topo(topo::TopologyConfig::Slice(8, 8, true));
+  sim::Simulator simulator;
+  net::Network network(&topo, {}, &simulator);
+  const topo::LinkId slow =
+      topo.LinkBetween(topo.ChipAt({3, 2}), topo.ChipAt({3, 3}));
+  const topo::LinkId flaky =
+      topo.LinkBetween(topo.ChipAt({5, 6}), topo.ChipAt({6, 6}));
+  trace::CriticalPathTracker tracker;
+  sim::ScopedEventObserver observe(&tracker);
+  network.DegradeLink(slow, 4.0);
+  simulator.Schedule(Micros(20), [&] { network.FailLink(flaky); });
+  simulator.Schedule(Micros(60), [&] { network.ReleaseFailedLink(flaky); });
+  coll::GradientSummationConfig config;
+  config.elems = 1 << 16;
+  const coll::GradientSummationResult result =
+      coll::TwoDGradientSummation(network, config);
+
+  trace::RunReport report;
+  report.label = "degraded 8x8 summation";
+  report.step_seconds = result.total();
+  report.compute_seconds = result.update_seconds;
+  report.comm_seconds = result.reduce_seconds + result.broadcast_seconds;
+  for (const coll::StageSeconds& stage : result.stages) {
+    report.phases.push_back({stage.name, stage.seconds});
+  }
+  report.has_critical_path = true;
+  report.critical_path = tracker.Analyze();
+  std::ostringstream out;
+  out << report.ToJson();
+  report.critical_path.WriteText(out);
+  return out.str();
 }
 
 TEST(CriticalPath, TrackerFollowsACausalChainAndTilesTime) {
@@ -224,6 +264,36 @@ TEST(CriticalPath, SimulateStepFillsARunReport) {
   ASSERT_GE(report.phases.size(), 7u);
   EXPECT_EQ(report.phases[0].name, "forward");
   EXPECT_EQ(report.phases[1].name, "backward");
+}
+
+TEST(CriticalPath, DegradedRunReportMatchesTheGoldenByteForByte) {
+  // tests/golden/critical_path_degraded.txt holds DegradedRunReportText()'s
+  // output. Analyze's data structures may change; its tables may not: a
+  // mismatch is a behaviour change, to be regenerated only on purpose (the
+  // actual text is written next to the test's temp files for diffing).
+  const std::string path =
+      std::string(TPU_REPO_ROOT) + "/tests/golden/critical_path_degraded.txt";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing " << path;
+  std::stringstream golden;
+  golden << in.rdbuf();
+  const std::string actual = DegradedRunReportText();
+  if (actual != golden.str()) {
+    const std::string dump =
+        ::testing::TempDir() + "critical_path_degraded.actual.txt";
+    std::ofstream(dump, std::ios::binary) << actual;
+    std::size_t at = 0;
+    while (at < actual.size() && at < golden.str().size() &&
+           actual[at] == golden.str()[at]) {
+      ++at;
+    }
+    FAIL() << "report differs from " << path << " at byte " << at
+           << "; actual text written to " << dump;
+  }
+  // The scenario exercises what it claims: a degraded link on the path, a
+  // stalled link priced by what-if, and a slack table.
+  EXPECT_NE(actual.find("\"what_if\":[{"), std::string::npos);
+  EXPECT_NE(actual.find("link slack"), std::string::npos);
 }
 
 TEST(CriticalPath, TrackerResetsWhenAFreshSimulatorStarts) {
