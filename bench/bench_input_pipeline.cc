@@ -6,6 +6,7 @@
 //   * DLRM: batch-granularity parsing, PCIe feature stacking, multi-step
 //     on-device eval.
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "input/dlrm_input.h"
@@ -14,16 +15,26 @@
 
 int main() {
   using namespace tpu;
+  // --smoke (CI): 64 and 256 hosts over 20 steps, and shuffle buffers up to
+  // 1000.
+  const bool smoke = bench::Smoke();
+  const int steps = smoke ? 20 : 100;
+  const std::vector<int> host_counts =
+      smoke ? std::vector<int>{64, 256} : std::vector<int>{64, 256, 1024};
+  const int prefetch_hosts = host_counts.back();
+  const std::vector<std::size_t> buffers =
+      smoke ? std::vector<std::size_t>{100, 1000}
+            : std::vector<std::size_t>{100, 1000, 10000};
 
   bench::Header("ResNet-50 host pipeline: decode tail vs uncompressed cache",
                 "Kumar et al., MLSys 2021, Section 3.5");
   bench::Row("%6s %9s | %12s %12s", "hosts", "cache", "stall frac",
              "worst batch(ms)");
-  for (int hosts : {64, 256, 1024}) {
+  for (int hosts : host_counts) {
     for (bool cache : {false, true}) {
       input::HostPipelineConfig config;
       config.num_hosts = hosts;
-      config.steps = 100;
+      config.steps = steps;
       config.per_host_batch = 16;
       config.device_step = Millis(2.0);
       config.uncompressed_cache = cache;
@@ -34,12 +45,13 @@ int main() {
     }
   }
 
-  std::printf("\nPrefetch depth (1024 hosts, uncompressed cache):\n");
+  std::printf("\nPrefetch depth (%d hosts, uncompressed cache):\n",
+              prefetch_hosts);
   bench::Row("%9s | %12s", "prefetch", "stall frac");
   for (int prefetch : {1, 4, 16, 64}) {
     input::HostPipelineConfig config;
-    config.num_hosts = 1024;
-    config.steps = 100;
+    config.num_hosts = prefetch_hosts;
+    config.steps = steps;
     config.per_host_batch = 16;
     config.device_step = Millis(2.0);
     config.uncompressed_cache = true;
@@ -56,7 +68,7 @@ int main() {
        {std::pair{input::StageOrder::kShuffleThenRepeat, "shuffle->repeat"},
         std::pair{input::StageOrder::kRepeatThenShuffle,
                   "repeat->shuffle"}}) {
-    for (std::size_t buffer : {100, 1000, 10000}) {
+    for (std::size_t buffer : buffers) {
       input::BertShuffleConfig config;  // 500 files, 128 hosts
       config.order = order;
       config.shuffle_buffer_size = buffer;

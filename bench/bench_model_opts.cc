@@ -5,6 +5,7 @@
 //   * MaskRCNN: partitioning support for top-k (Amdahl bottleneck removal);
 //   * DLRM: replicate-small / partition-large embedding placement.
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "hlo/cost_model.h"
@@ -15,14 +16,21 @@
 int main() {
   using namespace tpu;
   hlo::TpuCoreModel core;
+  // --smoke (CI): the smallest ROI count and two partition counts.
+  const bool smoke = bench::Smoke();
+  const std::vector<tensor::Index> roi_counts =
+      smoke ? std::vector<tensor::Index>{256}
+            : std::vector<tensor::Index>{256, 1024, 4096};
+  const std::vector<int> partitions =
+      smoke ? std::vector<int>{1, 8} : std::vector<int>{1, 2, 4, 8};
 
   bench::Header("ROIAlign gather: one-hot matmul vs non-contiguous gather",
                 "Kumar et al., MLSys 2021, Section 4.5");
   bench::Row("%6s %6s | %14s %14s %9s", "rois", "parts", "gather(us)",
              "onehot(us)", "speedup");
   const tensor::Index table = 2048, width = 256;
-  for (tensor::Index rois : {256, 1024, 4096}) {
-    for (int parts : {1, 2, 4, 8}) {
+  for (tensor::Index rois : roi_counts) {
+    for (int parts : partitions) {
       // Non-contiguous gather does not partition (no XLA support pre-paper):
       // it runs fully replicated regardless of parts.
       const SimTime gather_time = core.SecondsFor(
@@ -52,7 +60,7 @@ int main() {
     m.TopK(scores, 16);
     const auto replicated_cost = spmd::CostOfPartitioned(
         spmd::Partition(m, {spmd::Sharding::Replicated()}, 1), core);
-    for (int parts : {1, 2, 4, 8}) {
+    for (int parts : partitions) {
       const auto cost = spmd::CostOfPartitioned(
           spmd::Partition(m, {spmd::Sharding::Tiled(0)}, parts), core);
       bench::Row("%6d | %14.2f %13.1fx", parts,

@@ -11,7 +11,14 @@
 
 int main() {
   using namespace tpu;
-  bench::Header("Weight-update sharding ablation (BERT, 512 chips)",
+  // --smoke (CI): BERT on 128 chips and SSD on 256 instead of 512 and 2048.
+  const bool smoke = bench::Smoke();
+  const int bert_chips = smoke ? 128 : 512;
+  const int ssd_chips = smoke ? 256 : 2048;
+  char title[64];
+  std::snprintf(title, sizeof(title),
+                "Weight-update sharding ablation (BERT, %d chips)", bert_chips);
+  bench::Header(title,
                 "Kumar et al., MLSys 2021, Section 3.2 (paper: ~18% of step)");
   bench::Row("%-14s %-10s | %10s %10s %10s %9s", "optimizer", "scheme",
              "update(ms)", "step(ms)", "speedup", "upd share");
@@ -33,8 +40,8 @@ int main() {
     core::SystemOptions sharded_opts;
     sharded_opts.weight_update_sharding = true;
 
-    core::MultipodSystem replicated(512, replicated_opts);
-    core::MultipodSystem sharded(512, sharded_opts);
+    core::MultipodSystem replicated(bert_chips, replicated_opts);
+    core::MultipodSystem sharded(bert_chips, sharded_opts);
     const auto slow =
         replicated.SimulateStep(bert, batch, 1, opt.optimizer.get());
     const auto fast = sharded.SimulateStep(bert, batch, 1, opt.optimizer.get());
@@ -56,7 +63,7 @@ int main() {
   const auto sgd = optim::MakeMomentumSgd({});
   core::SystemOptions on, off;
   off.weight_update_sharding = false;
-  core::MultipodSystem with(2048, on), without(2048, off);
+  core::MultipodSystem with(ssd_chips, on), without(ssd_chips, off);
   const auto fast = with.SimulateStep(ssd, 4096, 8, sgd.get());
   const auto slow = without.SimulateStep(ssd, 4096, 8, sgd.get());
   bench::Row("  WUS on:  step %.3f ms   WUS off: step %.3f ms   speedup %.2fx",

@@ -81,16 +81,18 @@ SimTime Network::Transmit(const CachedRoute& route, Bytes bytes) {
   // histogram behind.
   if (metrics != nullptr && !route.hops.empty()) EnsureMetricState(metrics);
   if (observer != nullptr) {
-    message_record_ = sim::MessageRecord{};
     message_record_.from = route.from;
     message_record_.to = route.to;
     message_record_.bytes = bytes;
     message_record_.overhead = config_.message_overhead;
-    message_record_.hops.reserve(route.hops.size());
+    message_hops_.clear();
   }
-  // Every hop of one message carries the same span label.
-  const std::string label = recorder != nullptr ? BytesLabel(bytes)
-                                                : std::string();
+  // Every hop of one message carries the same span label; consecutive
+  // messages mostly share a size, so the last label is kept.
+  if (recorder != nullptr && bytes != label_bytes_) {
+    label_ = BytesLabel(bytes);
+    label_bytes_ = bytes;
+  }
 
   // Store-and-forward per hop at message granularity: at each hop the message
   // waits for the link to be free, occupies it for bytes/bandwidth, and then
@@ -118,7 +120,7 @@ SimTime Network::Transmit(const CachedRoute& route, Bytes bytes) {
       hop_record.healthy_serialize = healthy_serialize;
       hop_record.latency = hop.latency;
       hop_record.start = start;
-      message_record_.hops.push_back(hop_record);
+      message_hops_.push_back(hop_record);
     }
 
     if (recorder != nullptr) {
@@ -126,7 +128,7 @@ SimTime Network::Transmit(const CachedRoute& route, Bytes bytes) {
       // earliest start (`head`) and its actual start is FIFO queueing.
       const trace::TraceRecorder::TrackId track =
           LinkTrack(recorder, hop.link);
-      recorder->Complete(track, label, start, start + serialize);
+      recorder->Complete(track, label_, start, start + serialize);
       if (link.failed != 0) {
         recorder->Instant(track, "failed-link stall", start);
       }

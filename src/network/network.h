@@ -14,6 +14,7 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -159,7 +160,7 @@ class Network {
     if (sim::EventObserver* observer = sim::CurrentEventObserver()) {
       // The completion event carries the message's provenance: which links
       // it crossed, and where each hop's time went.
-      observer->OnMessage(seq, std::move(message_record_));
+      observer->OnMessage(seq, message_record_, message_hops_);
     }
   }
 
@@ -188,7 +189,7 @@ class Network {
     auto flush = [&] {
       const std::uint64_t seq = simulator_->ScheduleAt(when, copies, on_done);
       if (observer != nullptr) {
-        observer->OnMessage(seq, std::move(message_record_));
+        observer->OnMessage(seq, message_record_, message_hops_);
       }
       copies = 0;
     };
@@ -329,9 +330,16 @@ class Network {
   // hashing.
   mutable std::vector<std::vector<std::pair<topo::ChipId, std::uint32_t>>>
       route_index_;
-  // The observed message being sent; handed to the observer once its
-  // completion event is scheduled.
+  // The observed message being sent and its hops; handed to the observer
+  // once its completion event is scheduled. Both are reused, so observing a
+  // message allocates nothing once the hop buffer has grown to the longest
+  // route.
   sim::MessageRecord message_record_;
+  std::vector<sim::MessageHopRecord> message_hops_;
+
+  // The span label of messages of label_bytes_ bytes ("xfer 9.8MiB").
+  Bytes label_bytes_ = -1;
+  std::string label_;
 
   trace::TraceRecorder* trace_recorder_ = nullptr;  // cache key, not owned
   std::vector<trace::TraceRecorder::TrackId> link_tracks_;

@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "common/units.h"
 #include "sim/run_context.h"
@@ -41,13 +41,13 @@ struct MessageHopRecord {
   SimTime start = 0;             // absolute time serialization began
 };
 
-// A message and its route, attached to the completion event's seq.
+// A message, attached to the completion event's seq. Its route arrives
+// beside it as a span of hop records (empty for self-sends).
 struct MessageRecord {
   std::int32_t from = -1;
   std::int32_t to = -1;
   std::int64_t bytes = 0;
   SimTime overhead = 0;          // per-message sender overhead
-  std::vector<MessageHopRecord> hops;  // empty for self-sends
 };
 
 class EventObserver {
@@ -65,11 +65,15 @@ class EventObserver {
   // `seq` is about to run its callback at time `when`.
   virtual void OnFire(std::uint64_t seq, SimTime when) = 0;
 
-  // The event `seq` is the completion of `record` (called by net::Network
-  // immediately after scheduling the completion).
-  virtual void OnMessage(std::uint64_t seq, MessageRecord record) {
+  // The event `seq` is the completion of `record`, whose route crossed
+  // `hops` in order (called by net::Network immediately after scheduling the
+  // completion). Both live in the network's reused buffers: an observer that
+  // keeps them must copy them before returning.
+  virtual void OnMessage(std::uint64_t seq, const MessageRecord& record,
+                         std::span<const MessageHopRecord> hops) {
     (void)seq;
     (void)record;
+    (void)hops;
   }
 
   // A join-counter (barrier) expecting `expected` notifications was created;

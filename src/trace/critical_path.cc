@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <ostream>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "trace/trace.h"
 
@@ -27,6 +30,45 @@ const char* SegmentKindName(PathSegment::Kind kind) {
       return "latency";
   }
   return "segment";
+}
+
+// Compressed adjacency lists: the items of key k are
+// items[begin[k], begin[k + 1]), in the order `for_each` emitted them.
+template <typename T>
+struct Csr {
+  std::vector<std::int64_t> begin;
+  std::vector<T> items;
+  std::span<const T> of(std::int64_t key) const {
+    return {items.data() + begin[key],
+            static_cast<std::size_t>(begin[key + 1] - begin[key])};
+  }
+};
+
+// Builds a Csr over keys [0, keys) by a counting sort: `for_each(emit)`
+// must call emit(key, item) for every item, the same way both times it is
+// called.
+template <typename T, typename ForEach>
+Csr<T> BuildCsr(std::size_t keys, const ForEach& for_each) {
+  Csr<T> csr;
+  csr.begin.assign(keys + 2, 0);
+  for_each([&](std::int64_t key, const T&) { ++csr.begin[key + 2]; });
+  for (std::size_t k = 2; k < csr.begin.size(); ++k) {
+    csr.begin[k] += csr.begin[k - 1];
+  }
+  csr.items.resize(csr.begin.back());
+  // begin[key + 1] is key's start; filling advances it to key's end, which
+  // is key + 1's start.
+  for_each([&](std::int64_t key, const T& item) {
+    csr.items[csr.begin[key + 1]++] = item;
+  });
+  csr.begin.pop_back();
+  return csr;
+}
+
+// The slot `link` maps to in a dense link id -> index table (-1: none yet).
+int& SlotOf(std::vector<int>& slots, int link) {
+  if (link >= static_cast<int>(slots.size())) slots.resize(link + 1, -1);
+  return slots[link];
 }
 
 }  // namespace
@@ -58,12 +100,16 @@ void CriticalPathTracker::OnFire(std::uint64_t seq, SimTime when) {
   last_fire_time_ = when;
 }
 
-void CriticalPathTracker::OnMessage(std::uint64_t seq,
-                                    sim::MessageRecord record) {
+void CriticalPathTracker::OnMessage(
+    std::uint64_t seq, const sim::MessageRecord& record,
+    std::span<const sim::MessageHopRecord> hops) {
   const NodeId id = NodeOf(static_cast<std::int64_t>(seq));
   if (id == kNone) return;
   nodes_[id].message = static_cast<std::int32_t>(messages_.size());
-  messages_.push_back(std::move(record));
+  messages_.push_back(Message{record.overhead,
+                              static_cast<std::int64_t>(hops_.size()),
+                              static_cast<std::int32_t>(hops.size())});
+  hops_.insert(hops_.end(), hops.begin(), hops.end());
 }
 
 int CriticalPathTracker::OnJoinOpen(int expected) {
@@ -109,6 +155,7 @@ void CriticalPathTracker::Reset() {
       current_phase_ >= 0 ? phases_[current_phase_] : std::string();
   nodes_.clear();
   messages_.clear();
+  hops_.clear();
   joins_.clear();
   phases_.clear();
   seq_base_ = -1;
@@ -167,11 +214,11 @@ CriticalPathReport CriticalPathTracker::Analyze() const {
       report.segments.push_back(std::move(segment));
     };
     if (node.message >= 0) {
-      const sim::MessageRecord& message = messages_[node.message];
+      const SimTime overhead = messages_[node.message].overhead;
       SimTime t = node.created;
-      add(PathSegment::Kind::kOverhead, t, t + message.overhead, nullptr);
-      t += message.overhead;
-      for (const sim::MessageHopRecord& hop : message.hops) {
+      add(PathSegment::Kind::kOverhead, t, t + overhead, nullptr);
+      t += overhead;
+      for (const sim::MessageHopRecord& hop : HopsOf(node.message)) {
         add(PathSegment::Kind::kQueue, t, hop.start, &hop);
         add(PathSegment::Kind::kSerialize, hop.start,
             hop.start + hop.serialize, &hop);
@@ -187,7 +234,9 @@ CriticalPathReport CriticalPathTracker::Analyze() const {
     }
   }
 
-  // Contributor tables from the on-path segments.
+  // Contributor tables from the on-path segments, links in first-seen order
+  // until the ranking sort.
+  std::vector<int> contribution_slot;  // link id -> index into report.links
   for (const PathSegment& segment : report.segments) {
     if (segment.is_comm()) {
       report.comm_seconds += segment.seconds();
@@ -195,27 +244,25 @@ CriticalPathReport CriticalPathTracker::Analyze() const {
       report.local_seconds += segment.seconds();
     }
     if (segment.link >= 0) {
-      LinkContribution* entry = nullptr;
-      for (LinkContribution& c : report.links) {
-        if (c.link == segment.link) entry = &c;
-      }
-      if (entry == nullptr) {
+      int& slot = SlotOf(contribution_slot, segment.link);
+      if (slot < 0) {
+        slot = static_cast<int>(report.links.size());
         LinkContribution c;
         c.link = segment.link;
         c.pod = segment.pod;
         c.link_type = segment.link_type;
         report.links.push_back(c);
-        entry = &report.links.back();
       }
+      LinkContribution& entry = report.links[slot];
       switch (segment.kind) {
         case PathSegment::Kind::kQueue:
-          entry->queue += segment.seconds();
+          entry.queue += segment.seconds();
           break;
         case PathSegment::Kind::kSerialize:
-          entry->serialize += segment.seconds();
+          entry.serialize += segment.seconds();
           break;
         default:
-          entry->latency += segment.seconds();
+          entry.latency += segment.seconds();
           break;
       }
     }
@@ -250,45 +297,47 @@ CriticalPathReport CriticalPathTracker::Analyze() const {
   // — and re-swept a few times so equal-timestamp join ties (where a release
   // can carry a smaller id than an input) settle.
   std::vector<SimTime> slack(nodes_.size(), -1.0);
-  std::vector<std::vector<NodeId>> children(nodes_.size());
-  std::vector<std::vector<std::pair<NodeId, SimTime>>> join_edges(
-      nodes_.size());
-  for (NodeId i = 0; i < node_count(); ++i) {
-    if (nodes_[i].parent != kNone) children[nodes_[i].parent].push_back(i);
-  }
-  for (const Join& join : joins_) {
-    if (join.release == kNone) continue;  // incomplete join: no constraint
-    for (const auto& [input, t] : join.inputs) {
-      (void)t;
-      if (input == kNone || input == join.release) continue;
-      join_edges[input].emplace_back(join.release, join.release_time);
-    }
-  }
-  std::vector<NodeId> order;
+  const Csr<NodeId> children =
+      BuildCsr<NodeId>(nodes_.size(), [&](const auto& emit) {
+        for (NodeId i = 0; i < node_count(); ++i) {
+          if (nodes_[i].parent != kNone) emit(nodes_[i].parent, i);
+        }
+      });
+  using JoinEdge = std::pair<NodeId, SimTime>;  // (release, release time)
+  const Csr<JoinEdge> join_edges =
+      BuildCsr<JoinEdge>(nodes_.size(), [&](const auto& emit) {
+        for (const Join& join : joins_) {
+          if (join.release == kNone) continue;  // incomplete: no constraint
+          for (const auto& [input, t] : join.inputs) {
+            (void)t;
+            if (input == kNone || input == join.release) continue;
+            emit(input, JoinEdge{join.release, join.release_time});
+          }
+        }
+      });
+  // (fired, id) of every fired node, sorted latest first; the sort reads
+  // only the pairs.
+  std::vector<std::pair<SimTime, NodeId>> order;
   order.reserve(nodes_.size());
   for (NodeId i = 0; i < node_count(); ++i) {
-    if (nodes_[i].fired >= 0) order.push_back(i);
+    if (nodes_[i].fired >= 0) order.emplace_back(nodes_[i].fired, i);
   }
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return nodes_[a].fired != nodes_[b].fired
-               ? nodes_[a].fired > nodes_[b].fired
-               : a > b;
-  });
+  std::sort(order.begin(), order.end(), std::greater<>());
   for (int sweep = 0; sweep < 4; ++sweep) {
     bool changed = false;
-    for (const NodeId n : order) {
+    for (const auto& [fired, n] : order) {
       SimTime s = kInfinity;
-      for (const NodeId c : children[n]) {
+      for (const NodeId c : children.of(n)) {
         if (nodes_[c].fired < 0 || slack[c] < 0) continue;
-        s = std::min(s, slack[c] + (nodes_[c].created - nodes_[n].fired));
+        s = std::min(s, slack[c] + (nodes_[c].created - fired));
       }
-      for (const auto& [release, release_time] : join_edges[n]) {
+      for (const auto& [release, release_time] : join_edges.of(n)) {
         if (slack[release] < 0) continue;
-        s = std::min(s, (release_time - nodes_[n].fired) + slack[release]);
+        s = std::min(s, (release_time - fired) + slack[release]);
       }
       if (n == terminal) s = 0;
       // Leaves (no surviving consumers) could slip to the end of the run.
-      if (s == kInfinity) s = report.makespan - nodes_[n].fired;
+      if (s == kInfinity) s = report.makespan - fired;
       if (s != slack[n]) {
         slack[n] = s;
         changed = true;
@@ -307,22 +356,24 @@ CriticalPathReport CriticalPathTracker::Analyze() const {
     SimTime on_path_healthy = 0;
     SimTime on_path_queue = 0;
   };
-  std::vector<LinkAccumulator> accum;
+  std::vector<LinkAccumulator> accum;  // first-seen order
+  std::vector<int> accum_slot;         // link id -> index into accum
   auto link_accum = [&](int link, const char* type) -> LinkAccumulator& {
-    for (LinkAccumulator& a : accum) {
-      if (a.slack_entry.link == link) return a;
+    int& slot = SlotOf(accum_slot, link);
+    if (slot < 0) {
+      slot = static_cast<int>(accum.size());
+      LinkAccumulator a;
+      a.slack_entry.link = link;
+      a.slack_entry.link_type = type;
+      a.slack_entry.slack = kInfinity;
+      accum.push_back(a);
     }
-    LinkAccumulator a;
-    a.slack_entry.link = link;
-    a.slack_entry.link_type = type;
-    a.slack_entry.slack = kInfinity;
-    accum.push_back(a);
-    return accum.back();
+    return accum[slot];
   };
   for (NodeId i = 0; i < node_count(); ++i) {
     const Node& node = nodes_[i];
     if (node.message < 0 || node.fired < 0 || slack[i] < 0) continue;
-    for (const sim::MessageHopRecord& hop : messages_[node.message].hops) {
+    for (const sim::MessageHopRecord& hop : HopsOf(node.message)) {
       LinkAccumulator& a = link_accum(hop.link, hop.type_name);
       a.slack_entry.slack = std::min(a.slack_entry.slack, slack[i]);
       if (hop.healthy_serialize > 0) {
@@ -337,7 +388,7 @@ CriticalPathReport CriticalPathTracker::Analyze() const {
     const Node& node = nodes_[i];
     if (node.message < 0 || !on_path[i]) continue;
     SimTime t = node.created + messages_[node.message].overhead;
-    for (const sim::MessageHopRecord& hop : messages_[node.message].hops) {
+    for (const sim::MessageHopRecord& hop : HopsOf(node.message)) {
       LinkAccumulator& a = link_accum(hop.link, hop.type_name);
       a.on_path_actual += hop.serialize;
       a.on_path_healthy += hop.healthy_serialize;
@@ -345,10 +396,15 @@ CriticalPathReport CriticalPathTracker::Analyze() const {
       t = hop.start + hop.serialize + hop.latency;
     }
   }
+  // report.links is ranked now; re-point the link index at the ranked rows.
+  for (std::size_t i = 0; i < report.links.size(); ++i) {
+    contribution_slot[report.links[i].link] = static_cast<int>(i);
+  }
   for (const LinkAccumulator& a : accum) {
     LinkSlack entry = a.slack_entry;
-    for (const LinkContribution& c : report.links) {
-      if (c.link == entry.link) entry.on_path_seconds = c.total();
+    const int on_path_slot = SlotOf(contribution_slot, entry.link);
+    if (on_path_slot >= 0) {
+      entry.on_path_seconds = report.links[on_path_slot].total();
     }
     if (entry.slack == kInfinity) entry.slack = 0;
     report.slack.push_back(entry);

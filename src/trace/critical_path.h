@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -125,7 +126,8 @@ class CriticalPathTracker : public sim::EventObserver {
   void OnSchedule(std::uint64_t seq, std::int64_t parent_seq, SimTime now,
                   SimTime when) override;
   void OnFire(std::uint64_t seq, SimTime when) override;
-  void OnMessage(std::uint64_t seq, sim::MessageRecord record) override;
+  void OnMessage(std::uint64_t seq, const sim::MessageRecord& record,
+                 std::span<const sim::MessageHopRecord> hops) override;
   int OnJoinOpen(int expected) override;
   void OnJoinNotify(int join) override;
   void OnPhase(const char* name) override;
@@ -146,7 +148,9 @@ class CriticalPathTracker : public sim::EventObserver {
 
   // Extracts the critical path, contributor tables, slack table and what-if
   // entries from the DAG observed so far. Pure analysis; the tracker can
-  // keep observing afterwards.
+  // keep observing afterwards. Cost O(nodes log nodes + hops + links log
+  // links): the slack pass sorts the fired nodes, everything else is
+  // indexed by node or link id.
   CriticalPathReport Analyze() const;
 
  private:
@@ -156,6 +160,13 @@ class CriticalPathTracker : public sim::EventObserver {
     SimTime fired = -1;       // -1: scheduled but never fired
     std::int32_t phase = -1;  // index into phases_
     std::int32_t message = -1;  // index into messages_
+  };
+  // One observed message: its sender overhead and its route, the slice
+  // [hop_begin, hop_begin + hop_count) of the flat hop store hops_.
+  struct Message {
+    SimTime overhead = 0;
+    std::int64_t hop_begin = 0;
+    std::int32_t hop_count = 0;
   };
   struct Join {
     int expected = 0;
@@ -170,8 +181,16 @@ class CriticalPathTracker : public sim::EventObserver {
     return id >= 0 && id < node_count() ? id : kNone;
   }
 
+  std::span<const sim::MessageHopRecord> HopsOf(std::int32_t message) const {
+    const Message& m = messages_[message];
+    return {hops_.data() + m.hop_begin, static_cast<std::size_t>(m.hop_count)};
+  }
+
   std::vector<Node> nodes_;   // NodeId == seq - seq_base_
-  std::vector<sim::MessageRecord> messages_;
+  std::vector<Message> messages_;
+  // Every message's hops, appended in message order: one growing array
+  // instead of one allocation per message.
+  std::vector<sim::MessageHopRecord> hops_;
   std::vector<Join> joins_;
   std::vector<std::string> phases_;  // interned phase labels
   std::int64_t seq_base_ = -1;       // first observed seq (-1: none yet)

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <cstring>
 #include <fstream>
 #include <map>
+#include <string_view>
+#include <utility>
 
 #include "common/check.h"
 
@@ -17,27 +21,145 @@ std::string TrackKey(const std::string& process, const std::string& thread) {
   return key;
 }
 
-// Timestamps are microseconds with fixed precision: formatting is locale-
-// independent and stable, which keeps identical runs byte-identical.
-void AppendMicros(std::string* out, SimTime seconds) {
-  AppendFixed3(out, ToMicros(seconds));
+// Longest printf("%.3f") output: DBL_MAX's 309 integer digits, a sign, the
+// point and 3 decimals.
+constexpr std::size_t kMaxFixed3 = 320;
+
+// Below 1e12, value * 1000 rounds to at most 1e15: at most 13 integer
+// digits.
+constexpr int kMaxFastDigits = 13;
+constexpr std::uint64_t kPowersOf10[kMaxFastDigits] = {
+    1,           10,           100,           1000,       10000,
+    100000,      1000000,      10000000,      100000000,  1000000000,
+    10000000000, 100000000000, 1000000000000};
+
+// "00" "01" ... "99": two decimal digits per lookup.
+constexpr char kDigitPairs[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536"
+    "37383940414243444546474849505152535455565758596061626364656667686970717273"
+    "7475767778798081828384858687888990919293949596979899";
+
+// Writes `value` as printf("%.3f") does in the C locale to
+// [out, out + kMaxFixed3) and returns the end of what it wrote.
+//
+// Fast path: print round(value * 1000) as an integer with three decimals.
+// `scaled` is value * 1000 rounded to a double, so it is off from the exact
+// product by at most half its ulp. Below 1e15 (so below 2^53) the fraction
+// scaled - floor(scaled) and 0.5 are both multiples of that ulp, so a
+// nonzero `half` is at least a whole ulp away from the tie and its sign is
+// the exact product's side of it. A zero `half` is an exact tie or one that
+// the product's rounding error decides; those, negative values (printf
+// keeps the sign of -0.0 and of values that round to zero), NaN and large
+// magnitudes take std::to_chars.
+char* WriteFixed3(char* out, double value) {
+  if (!std::signbit(value) && value < 1e12) {
+    const double scaled = value * 1000.0;
+    const double whole = std::floor(scaled);
+    const double half = (scaled - whole) - 0.5;
+    if (half != 0) {
+      const std::uint64_t milli =
+          static_cast<std::uint64_t>(whole) + (half > 0 ? 1 : 0);
+      std::uint64_t integer = milli / 1000;
+      const unsigned decimals = static_cast<unsigned>(milli % 1000);
+      int digits = 1;
+      while (digits < kMaxFastDigits && integer >= kPowersOf10[digits]) {
+        ++digits;
+      }
+      char* const end = out + digits + 4;
+      std::memcpy(end - 2, kDigitPairs + 2 * (decimals % 100), 2);
+      end[-3] = static_cast<char>('0' + decimals / 100);
+      end[-4] = '.';
+      // Integer digits two at a time, from the right.
+      char* digit = out + digits;
+      for (; integer >= 10; integer /= 100) {
+        digit -= 2;
+        std::memcpy(digit, kDigitPairs + 2 * (integer % 100), 2);
+      }
+      if (digit != out) *--digit = static_cast<char>('0' + integer);
+      return end;
+    }
+  }
+  return std::to_chars(out, out + kMaxFixed3, value, std::chars_format::fixed,
+                       3)
+      .ptr;
 }
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
+// A write buffer in front of the exported document: the export's many small
+// pieces (a dozen per event) are copied into a stack buffer, and the
+// document grows by one append per buffer-full.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string* out) : out_(out) {}
+  ~JsonWriter() { Flush(); }
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+
+  void Append(std::string_view text) {
+    if (text.size() > Room()) {
+      Flush();
+      if (text.size() > sizeof(buf_)) {
+        out_->append(text);
+        return;
+      }
+    }
+    std::memcpy(end_, text.data(), text.size());
+    end_ += text.size();
   }
-}
+  void Char(char c) {
+    if (Room() == 0) Flush();
+    *end_++ = c;
+  }
+  void Int(std::uint64_t value) {
+    if (Room() < 20) Flush();
+    end_ = std::to_chars(end_, end_ + 20, value).ptr;
+  }
+  void Fixed3(double value) {
+    if (Room() < kMaxFixed3) Flush();
+    end_ = WriteFixed3(end_, value);
+  }
+  // Timestamps are microseconds with fixed precision: formatting is locale-
+  // independent and stable, which keeps identical runs byte-identical.
+  void Micros(SimTime seconds) { Fixed3(ToMicros(seconds)); }
+  // `text` inside a JSON string: quotes and backslashes escaped.
+  void Escaped(const std::string& text) {
+    if (text.find_first_of("\"\\") == std::string::npos) {
+      Append(text);
+      return;
+    }
+    for (const char c : text) {
+      if (c == '"' || c == '\\') Char('\\');
+      Char(c);
+    }
+  }
+  void Flush() {
+    out_->append(buf_, end_);
+    end_ = buf_;
+  }
+
+ private:
+  std::size_t Room() const {
+    return static_cast<std::size_t>(buf_ + sizeof(buf_) - end_);
+  }
+
+  std::string* out_;
+  char buf_[4096];
+  char* end_ = buf_;
+};
+
+// Orders (timestamp, record index) pairs by timestamp alone; a stable sort
+// keeps record order among equal timestamps.
+struct EarlierTimestamp {
+  bool operator()(const std::pair<SimTime, std::size_t>& a,
+                  const std::pair<SimTime, std::size_t>& b) const {
+    return a.first < b.first;
+  }
+};
 
 }  // namespace
 
 void AppendFixed3(std::string* out, double value) {
-  // Room for DBL_MAX's 309 integer digits, a sign, the point and 3 decimals.
-  char buf[320];
-  const std::to_chars_result result = std::to_chars(
-      buf, buf + sizeof(buf), value, std::chars_format::fixed, 3);
-  out->append(buf, result.ptr);
+  char buf[kMaxFixed3];
+  out->append(buf, WriteFixed3(buf, value));
 }
 
 TraceRecorder::TrackId TraceRecorder::Track(const std::string& process,
@@ -51,13 +173,13 @@ TraceRecorder::TrackId TraceRecorder::Track(const std::string& process,
   info.thread = thread;
   // One pid per distinct process name, assigned in registration order; tids
   // count up within the process.
-  int max_pid = -1;
-  for (const TrackInfo& t : tracks_) {
-    if (t.process == process) info.tid = std::max(info.tid, t.tid + 1);
-    if (t.process == process) info.pid = t.pid;
-    max_pid = std::max(max_pid, t.pid);
-  }
-  if (info.tid == 0) info.pid = max_pid + 1;
+  ProcessInfo& owner =
+      processes_
+          .try_emplace(process,
+                       ProcessInfo{static_cast<int>(processes_.size()), 0})
+          .first->second;
+  info.pid = owner.pid;
+  info.tid = owner.next_tid++;
 
   const TrackId id = static_cast<TrackId>(tracks_.size());
   tracks_.push_back(std::move(info));
@@ -134,11 +256,11 @@ void TraceRecorder::FlowEnd(TrackId track, std::string name, std::uint64_t id,
 }
 
 void TraceRecorder::CounterDelta(CounterId counter, SimTime ts, double delta) {
-  counter_events_.push_back(CounterEvent{counter, Stamp(ts), delta, false});
+  counter_events_.push_back(CounterEvent{Stamp(ts), delta, counter, false});
 }
 
 void TraceRecorder::CounterValue(CounterId counter, SimTime ts, double value) {
-  counter_events_.push_back(CounterEvent{counter, Stamp(ts), value, true});
+  counter_events_.push_back(CounterEvent{Stamp(ts), value, counter, true});
 }
 
 int TraceRecorder::open_spans(TrackId track) const {
@@ -150,10 +272,11 @@ int TraceRecorder::open_spans(TrackId track) const {
 std::string TraceRecorder::ToJson() const {
   std::string json;
   json.reserve(128 * (events_.size() + counter_events_.size()) + 4096);
-  json += "{\"traceEvents\":[\n";
+  JsonWriter out(&json);
+  out.Append("{\"traceEvents\":[\n");
   bool first = true;
   auto comma = [&] {
-    if (!first) json += ",\n";
+    if (!first) out.Append(",\n");
     first = false;
   };
 
@@ -164,96 +287,114 @@ std::string TraceRecorder::ToJson() const {
   }
   for (const auto& [pid, name] : process_names) {
     comma();
-    json += "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":";
-    json += std::to_string(pid);
-    json += ",\"args\":{\"name\":\"";
-    AppendEscaped(&json, name);
-    json += "\"}}";
+    out.Append("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":");
+    out.Int(pid);
+    out.Append(",\"args\":{\"name\":\"");
+    out.Escaped(name);
+    out.Append("\"}}");
   }
-  for (const TrackInfo& track : tracks_) {
+  // Each track's constant run of bytes between an event's ph and its ts.
+  std::vector<std::string> track_prefix(tracks_.size());
+  for (std::size_t i = 0; i < tracks_.size(); ++i) {
+    const TrackInfo& track = tracks_[i];
     comma();
-    json += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":";
-    json += std::to_string(track.pid);
-    json += ",\"tid\":";
-    json += std::to_string(track.tid);
-    json += ",\"args\":{\"name\":\"";
-    AppendEscaped(&json, track.thread);
-    json += "\"}}";
+    out.Append("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":");
+    out.Int(track.pid);
+    out.Append(",\"tid\":");
+    out.Int(track.tid);
+    out.Append(",\"args\":{\"name\":\"");
+    out.Escaped(track.thread);
+    out.Append("\"}}");
+    track_prefix[i] = "\",\"pid\":" + std::to_string(track.pid) +
+                      ",\"tid\":" + std::to_string(track.tid) + ",\"ts\":";
   }
 
-  // Span/instant events, stably sorted by timestamp (ties keep record order,
-  // which is the deterministic simulation's callback order).
-  std::vector<std::size_t> order(events_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     return events_[a].ts < events_[b].ts;
-                   });
-  for (const std::size_t index : order) {
+  // Span/instant events by timestamp; ties keep record order, which is the
+  // deterministic simulation's callback order. Stable-sorting (ts, index)
+  // pairs reads no event during the sort; the records arrive nearly in
+  // time order, which the merge sort exploits.
+  std::vector<std::pair<SimTime, std::size_t>> order;
+  order.reserve(events_.size());
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    order.emplace_back(events_[i].ts, i);
+  }
+  std::stable_sort(order.begin(), order.end(), EarlierTimestamp());
+  for (const auto& [ts, index] : order) {
     const Event& event = events_[index];
-    const TrackInfo& track = tracks_[event.track];
     comma();
-    json += "{\"ph\":\"";
-    json.push_back(event.ph);
-    json += "\",\"pid\":";
-    json += std::to_string(track.pid);
-    json += ",\"tid\":";
-    json += std::to_string(track.tid);
-    json += ",\"ts\":";
-    AppendMicros(&json, event.ts);
+    out.Append("{\"ph\":\"");
+    out.Char(event.ph);
+    out.Append(track_prefix[event.track]);
+    out.Micros(ts);
     if (event.ph == 'X') {
-      json += ",\"dur\":";
-      AppendMicros(&json, event.dur);
+      out.Append(",\"dur\":");
+      out.Micros(event.dur);
     }
     if (event.ph == 'b' || event.ph == 'e') {
-      json += ",\"cat\":\"ring\",\"id\":";
-      json += std::to_string(event.id);
+      out.Append(",\"cat\":\"ring\",\"id\":");
+      out.Int(event.id);
     }
     if (event.ph == 's' || event.ph == 't' || event.ph == 'f') {
-      json += ",\"cat\":\"critpath\",\"id\":";
-      json += std::to_string(event.id);
+      out.Append(",\"cat\":\"critpath\",\"id\":");
+      out.Int(event.id);
       // Bind the terminating arrow to the enclosing slice, not the next one.
-      if (event.ph == 'f') json += ",\"bp\":\"e\"";
+      if (event.ph == 'f') out.Append(",\"bp\":\"e\"");
     }
-    if (event.ph == 'i') json += ",\"s\":\"t\"";
+    if (event.ph == 'i') out.Append(",\"s\":\"t\"");
     if (!event.name.empty() || event.ph == 'B' || event.ph == 'X' ||
         event.ph == 'i' || event.ph == 'b') {
-      json += ",\"name\":\"";
-      AppendEscaped(&json, event.name);
-      json += "\"";
+      out.Append(",\"name\":\"");
+      out.Escaped(event.name);
+      out.Char('"');
     }
-    json += "}";
+    out.Char('}');
   }
 
-  // Counter series: deltas accumulated into absolute values per counter.
-  std::vector<std::vector<std::size_t>> series(counters_.size());
-  for (std::size_t i = 0; i < counter_events_.size(); ++i) {
-    series[counter_events_[i].counter].push_back(i);
+  // Counter series, one counter after another: deltas accumulated into
+  // absolute values. Samples are grouped by counter (a counting sort that
+  // keeps record order), then each group is stable-sorted by timestamp.
+  std::vector<std::size_t> series_begin(counters_.size() + 1, 0);
+  for (const CounterEvent& sample : counter_events_) {
+    ++series_begin[sample.counter + 1];
+  }
+  for (std::size_t id = 1; id < series_begin.size(); ++id) {
+    series_begin[id] += series_begin[id - 1];
+  }
+  std::vector<std::pair<SimTime, std::size_t>> series(counter_events_.size());
+  {
+    std::vector<std::size_t> cursor(series_begin.begin(),
+                                    series_begin.end() - 1);
+    for (std::size_t i = 0; i < counter_events_.size(); ++i) {
+      series[cursor[counter_events_[i].counter]++] = {counter_events_[i].ts,
+                                                      i};
+    }
   }
   for (CounterId id = 0; id < static_cast<CounterId>(counters_.size()); ++id) {
-    std::vector<std::size_t>& samples = series[id];
-    std::stable_sort(samples.begin(), samples.end(),
-                     [this](std::size_t a, std::size_t b) {
-                       return counter_events_[a].ts < counter_events_[b].ts;
-                     });
+    const auto begin = series.begin() + series_begin[id];
+    const auto end = series.begin() + series_begin[id + 1];
+    std::stable_sort(begin, end, EarlierTimestamp());
+    // The series' constant bytes before each sample's ts and before its
+    // value.
+    const std::string prefix = "{\"ph\":\"C\",\"pid\":" +
+                               std::to_string(counters_[id].pid) + ",\"ts\":";
+    std::string name = ",\"name\":\"";
+    JsonWriter(&name).Escaped(counters_[id].name);
+    name += "\",\"args\":{\"value\":";
     double value = 0;
-    for (const std::size_t index : samples) {
-      const CounterEvent& sample = counter_events_[index];
+    for (auto it = begin; it != end; ++it) {
+      const CounterEvent& sample = counter_events_[it->second];
       value = sample.absolute ? sample.delta : value + sample.delta;
       comma();
-      json += "{\"ph\":\"C\",\"pid\":";
-      json += std::to_string(counters_[id].pid);
-      json += ",\"ts\":";
-      AppendMicros(&json, sample.ts);
-      json += ",\"name\":\"";
-      AppendEscaped(&json, counters_[id].name);
-      json += "\",\"args\":{\"value\":";
-      AppendFixed3(&json, value);
-      json += "}}";
+      out.Append(prefix);
+      out.Micros(it->first);
+      out.Append(name);
+      out.Fixed3(value);
+      out.Append("}}");
     }
   }
 
-  json += "\n]}\n";
+  out.Append("\n]}\n");
+  out.Flush();
   return json;
 }
 

@@ -106,6 +106,10 @@ class TraceRecorder {
     std::string process;
     std::string thread;
   };
+  struct ProcessInfo {
+    int pid = 0;
+    int next_tid = 0;
+  };
   struct CounterInfo {
     int pid = 0;
     std::string name;
@@ -119,9 +123,9 @@ class TraceRecorder {
     std::string name;
   };
   struct CounterEvent {
-    CounterId counter = 0;
     SimTime ts = 0;
     double delta = 0;
+    CounterId counter = 0;
     bool absolute = false;  // value, not delta
   };
 
@@ -129,6 +133,8 @@ class TraceRecorder {
 
   std::vector<TrackInfo> tracks_;
   std::unordered_map<std::string, TrackId> track_index_;  // "process\0thread"
+  // Process name -> its pid and the tid its next track gets.
+  std::unordered_map<std::string, ProcessInfo> processes_;
   std::vector<CounterInfo> counters_;
   std::unordered_map<std::string, CounterId> counter_index_;
   std::vector<Event> events_;
@@ -140,9 +146,11 @@ class TraceRecorder {
   SimTime last_timestamp_ = 0;
 };
 
-// Appends `value` formatted exactly as printf("%.3f") does in the C locale
-// (std::to_chars fixed, precision 3), without printf's parsing and locale
-// costs: every timestamp and counter value of the JSON export.
+// Appends `value` formatted exactly as printf("%.3f") does in the C locale,
+// without printf's parsing and locale costs: every timestamp and counter
+// value of the JSON export. Non-negative values below 1e12 that are not
+// within rounding error of a .0005 tie print from an exactly rounded
+// integer; the rest go through std::to_chars (fixed, precision 3).
 void AppendFixed3(std::string* out, double value);
 
 // The current recorder, one member of the thread-local sim::RunContext. Null

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -145,15 +146,23 @@ TEST(NetworkUtilization, ReportsBusyFraction) {
   EXPECT_NEAR(network.MaxLinkUtilization(), 1.0, 1e-9);
 }
 
-// Records every completion seq and message record the network reports.
+// One reported message: its record and a copy of its hops.
+struct LoggedMessage {
+  sim::MessageRecord record;
+  std::vector<sim::MessageHopRecord> hops;
+};
+
+// Records every completion seq and message the network reports.
 class MessageLog : public sim::EventObserver {
  public:
   void OnSchedule(std::uint64_t, std::int64_t, SimTime, SimTime) override {}
   void OnFire(std::uint64_t, SimTime) override {}
-  void OnMessage(std::uint64_t seq, sim::MessageRecord record) override {
-    messages.emplace_back(seq, std::move(record));
+  void OnMessage(std::uint64_t seq, const sim::MessageRecord& record,
+                 std::span<const sim::MessageHopRecord> hops) override {
+    messages.emplace_back(
+        seq, LoggedMessage{record, {hops.begin(), hops.end()}});
   }
-  std::vector<std::pair<std::uint64_t, sim::MessageRecord>> messages;
+  std::vector<std::pair<std::uint64_t, LoggedMessage>> messages;
 };
 
 void ExpectSameTraffic(const TrafficStats& a, const TrafficStats& b) {
@@ -168,17 +177,17 @@ void ExpectSameTraffic(const TrafficStats& a, const TrafficStats& b) {
 void ExpectSameMessages(const MessageLog& a, const MessageLog& b) {
   ASSERT_EQ(a.messages.size(), b.messages.size());
   for (std::size_t i = 0; i < a.messages.size(); ++i) {
-    const auto& [seq_a, rec_a] = a.messages[i];
-    const auto& [seq_b, rec_b] = b.messages[i];
+    const auto& [seq_a, log_a] = a.messages[i];
+    const auto& [seq_b, log_b] = b.messages[i];
     EXPECT_EQ(seq_a, seq_b);
-    EXPECT_EQ(rec_a.from, rec_b.from);
-    EXPECT_EQ(rec_a.to, rec_b.to);
-    EXPECT_EQ(rec_a.bytes, rec_b.bytes);
-    EXPECT_EQ(rec_a.overhead, rec_b.overhead);
-    ASSERT_EQ(rec_a.hops.size(), rec_b.hops.size());
-    for (std::size_t h = 0; h < rec_a.hops.size(); ++h) {
-      const sim::MessageHopRecord& x = rec_a.hops[h];
-      const sim::MessageHopRecord& y = rec_b.hops[h];
+    EXPECT_EQ(log_a.record.from, log_b.record.from);
+    EXPECT_EQ(log_a.record.to, log_b.record.to);
+    EXPECT_EQ(log_a.record.bytes, log_b.record.bytes);
+    EXPECT_EQ(log_a.record.overhead, log_b.record.overhead);
+    ASSERT_EQ(log_a.hops.size(), log_b.hops.size());
+    for (std::size_t h = 0; h < log_a.hops.size(); ++h) {
+      const sim::MessageHopRecord& x = log_a.hops[h];
+      const sim::MessageHopRecord& y = log_b.hops[h];
       EXPECT_EQ(x.link, y.link);
       EXPECT_EQ(x.pod, y.pod);
       EXPECT_STREQ(x.type_name, y.type_name);
@@ -257,8 +266,8 @@ TEST(NetworkSendAlong, MatchesSendOnHealthyDegradedAndFailedLinks) {
   ASSERT_EQ(sent.log.messages.size(), 15u);
   ExpectSameMessages(sent.log, along.log);
   bool degraded_hop = false;
-  for (const auto& [seq, record] : sent.log.messages) {
-    for (const sim::MessageHopRecord& hop : record.hops) {
+  for (const auto& [seq, logged] : sent.log.messages) {
+    for (const sim::MessageHopRecord& hop : logged.hops) {
       if (hop.serialize == 3.0 * hop.healthy_serialize) degraded_hop = true;
     }
   }

@@ -88,6 +88,34 @@ TEST(TraceRecorder, Fixed3FormatMatchesPrintfByteForByte) {
   // just above or just below the decimal tie.
   for (int i = 0; i < 2000; ++i) values.push_back((i + 0.5) / 1000.0);
   std::mt19937_64 rng(20201106);
+  // The integer fast path's domain, [0, 1e12): whole numbers and whole
+  // thousandths at every magnitude up to its edge; the doubles on both
+  // sides of k + 0.0005 ties; exact binary ties (odd sixteenths); and the
+  // edge itself, 1e12 and its neighbours, with -0.0 beside it (printf keeps
+  // the sign, so -0.0 prints -0.000).
+  const double kEdge = 1e12;
+  for (double whole = 1; whole < kEdge; whole = std::floor(whole * 1.37) + 1) {
+    values.push_back(whole);
+    values.push_back(whole / 1000.0);
+  }
+  std::vector<double> ties;
+  for (int i = 0; i < 2000; ++i) ties.push_back(i + 0.0005);
+  for (int i = 0; i < 2000; ++i) {
+    const double k = std::floor(static_cast<double>(rng() % 1'000'000'000'000));
+    ties.push_back(k + 0.0005);
+    ties.push_back((k + 0.5) / 1000.0);
+    values.push_back((2.0 * static_cast<double>(rng() % (1ull << 36)) + 1) / 16);
+  }
+  for (const double tie : ties) {
+    values.push_back(std::nextafter(tie, 0.0));
+    values.push_back(tie);
+    values.push_back(std::nextafter(tie, kEdge * 2));
+  }
+  for (int i = 0; i < 64; ++i) values.push_back((2 * i + 1) / 16.0);
+  values.push_back(std::nextafter(kEdge, 0.0));
+  values.push_back(kEdge);
+  values.push_back(std::nextafter(kEdge, kEdge * 2));
+  values.push_back(-0.0);
   for (int i = 0; i < 100000; ++i) {
     // Random bit patterns (finite only), plus timestamp-like magnitudes.
     std::uint64_t bits = rng();
