@@ -84,15 +84,22 @@ char* WriteFixed3(char* out, double value) {
       .ptr;
 }
 
+// Appends `text` to `out` as the inside of a JSON string: quotes and
+// backslashes escaped.
+void AppendEscaped(std::string* out, const std::string& text) {
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out->push_back('\\');
+    out->push_back(c);
+  }
+}
+
 // A write buffer in front of the exported document: the export's many small
 // pieces (a dozen per event) are copied into a stack buffer, and the
-// document grows by one append per buffer-full.
+// document grows by one append per buffer-full. Flush() hands over the
+// rest.
 class JsonWriter {
  public:
   explicit JsonWriter(std::string* out) : out_(out) {}
-  ~JsonWriter() { Flush(); }
-  JsonWriter(const JsonWriter&) = delete;
-  JsonWriter& operator=(const JsonWriter&) = delete;
 
   void Append(std::string_view text) {
     if (text.size() > Room()) {
@@ -124,11 +131,9 @@ class JsonWriter {
   void Escaped(const std::string& text) {
     if (text.find_first_of("\"\\") == std::string::npos) {
       Append(text);
-      return;
-    }
-    for (const char c : text) {
-      if (c == '"' || c == '\\') Char('\\');
-      Char(c);
+    } else {
+      Flush();
+      AppendEscaped(out_, text);
     }
   }
   void Flush() {
@@ -378,7 +383,7 @@ std::string TraceRecorder::ToJson() const {
     const std::string prefix = "{\"ph\":\"C\",\"pid\":" +
                                std::to_string(counters_[id].pid) + ",\"ts\":";
     std::string name = ",\"name\":\"";
-    JsonWriter(&name).Escaped(counters_[id].name);
+    AppendEscaped(&name, counters_[id].name);
     name += "\",\"args\":{\"value\":";
     double value = 0;
     for (auto it = begin; it != end; ++it) {

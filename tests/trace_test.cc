@@ -135,6 +135,19 @@ TEST(TraceRecorder, Fixed3FormatMatchesPrintfByteForByte) {
   }
 }
 
+TEST(TraceRecorder, QuotesAndBackslashesAreEscapedInEveryName) {
+  trace::TraceRecorder recorder;
+  const auto track = recorder.Track("pod \"0\"", "link \\1");
+  recorder.Complete(track, "say \"hi\"", 0.0, Micros(1));
+  recorder.CounterValue(recorder.Counter(track, "c\\d"), 0.0, 2.0);
+  const std::string json = recorder.ToJson();
+  EXPECT_NE(json.find(R"("args":{"name":"pod \"0\""})"), std::string::npos);
+  EXPECT_NE(json.find(R"("args":{"name":"link \\1"})"), std::string::npos);
+  EXPECT_NE(json.find(R"("name":"say \"hi\""})"), std::string::npos);
+  EXPECT_NE(json.find(R"("name":"c\\d","args":{"value":2.000}})"),
+            std::string::npos);
+}
+
 TEST(TraceRecorder, TimeOffsetShiftsTimestamps) {
   trace::TraceRecorder recorder;
   const auto track = recorder.Track("system", "step");
