@@ -232,23 +232,35 @@ Range ChunkOfRange(const Range& range, int parts, int index) {
   return ChunkOf(range, parts, index);
 }
 
-std::vector<Range> OwnedAfterReduceScatter(const Range& range, int ring_size,
-                                           int rank,
-                                           const CollectiveOptions& options) {
+int OwnedAfterReduceScatter(const Range& range, int ring_size, int rank,
+                            const CollectiveOptions& options,
+                            std::array<Range, 2>& out) {
   TPU_CHECK_GT(ring_size, 0);
   TPU_CHECK_GE(rank, 0);
   TPU_CHECK_LT(rank, ring_size);
-  if (ring_size == 1) return {range};
+  if (ring_size == 1) {
+    out[0] = range;
+    return 1;
+  }
   if (!options.bidirectional || ring_size <= 2) {
-    return {ChunkOf(range, ring_size, (rank + 1) % ring_size)};
+    out[0] = ChunkOf(range, ring_size, (rank + 1) % ring_size);
+    return 1;
   }
   const auto [cw, ccw] = DirectionHalves(range);
   // Clockwise pass: position == rank. Counter-clockwise pass: position is
   // mirrored, so rank owns chunk ((n-1-rank)+1) % n of the CCW half.
-  std::vector<Range> owned;
-  owned.push_back(ChunkOf(cw, ring_size, (rank + 1) % ring_size));
-  owned.push_back(ChunkOf(ccw, ring_size, (ring_size - rank) % ring_size));
-  return owned;
+  out[0] = ChunkOf(cw, ring_size, (rank + 1) % ring_size);
+  out[1] = ChunkOf(ccw, ring_size, (ring_size - rank) % ring_size);
+  return 2;
+}
+
+std::vector<Range> OwnedAfterReduceScatter(const Range& range, int ring_size,
+                                           int rank,
+                                           const CollectiveOptions& options) {
+  std::array<Range, 2> owned;
+  const int count =
+      OwnedAfterReduceScatter(range, ring_size, rank, options, owned);
+  return std::vector<Range>(owned.begin(), owned.begin() + count);
 }
 
 void StartReduceScatter(net::Network& network, std::vector<RingSpec> rings,

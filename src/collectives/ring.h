@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -103,6 +104,12 @@ inline int SendChunkIndex(RingOp op, int ring_size, int rank, int step) {
 std::vector<Range> OwnedAfterReduceScatter(const Range& range, int ring_size,
                                            int rank,
                                            const CollectiveOptions& options);
+
+// The same ranges, written to out[0 .. count) without allocating; returns
+// count (1 or 2). The vector form wraps this one.
+int OwnedAfterReduceScatter(const Range& range, int ring_size, int rank,
+                            const CollectiveOptions& options,
+                            std::array<Range, 2>& out);
 
 // Non-blocking forms: schedule the collective on the network's simulator
 // and fire `on_done` when every ring completes; the caller decides when to

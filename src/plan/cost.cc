@@ -183,14 +183,35 @@ SimTime GroupSeconds(const HopCost& hop, const LoweredStage& stage,
                               options);
 }
 
-// Folds stage_seconds(s) over the stages in order: they run back to back,
-// except that chunk pipelining overlaps the shorter stages under the longest
-// one; the sequential sum is its upper bound, longest stage its lower bound.
+// The earlier stage whose closed-form price stage s repeats, or -1. A ring
+// all-gather shares its reduce-scatter's spec list, and a ring stage's
+// price does not depend on the op; a halving-doubling stage's does (it
+// halves or doubles), so it is always priced.
+int MirroredStage(const LoweredPlan& lowered, std::size_t s) {
+  const LoweredStage& stage = lowered.stages[s];
+  if (stage.op != LoweredStage::Op::kAllGather ||
+      stage.algorithm != PhaseAlgorithm::kRing) {
+    return -1;
+  }
+  for (std::size_t m = s; m-- > 0;) {
+    if (lowered.stages[m].specs == stage.specs) return static_cast<int>(m);
+  }
+  return -1;
+}
+
+// Folds stage_seconds(s) over the stages in order, reusing a mirrored
+// stage's value instead of calling stage_seconds for it: they run back to
+// back, except that chunk pipelining overlaps the shorter stages under the
+// longest one; the sequential sum is its upper bound, longest stage its
+// lower bound.
 template <typename StageFn>
 SimTime SumStages(const LoweredPlan& lowered, StageFn&& stage_seconds) {
   SimTime total = 0, longest_stage = 0;
+  std::vector<SimTime> priced(lowered.stages.size());
   for (std::size_t s = 0; s < lowered.stages.size(); ++s) {
-    const SimTime t = stage_seconds(s);
+    const int mirror = MirroredStage(lowered, s);
+    const SimTime t = mirror >= 0 ? priced[mirror] : stage_seconds(s);
+    priced[s] = t;
     total += t;
     longest_stage = std::max(longest_stage, t);
   }
@@ -244,7 +265,15 @@ PlanRepricer::PlanRepricer(const topo::MeshTopology& topo,
   const coll::CollectiveOptions options = lowered_.plan.collective_options();
   std::vector<std::pair<topo::LinkId, int>> crossings;  // (link, group)
   stage_begin_.push_back(0);
-  for (const LoweredStage& stage : lowered_.stages) {
+  for (std::size_t s = 0; s < lowered_.stages.size(); ++s) {
+    const LoweredStage& stage = lowered_.stages[s];
+    // A mirrored stage keeps no groups: SumStages reuses its mirror's value.
+    const int mirror = MirroredStage(lowered_, s);
+    if (mirror >= 0) {
+      stage_seconds_.push_back(stage_seconds_[mirror]);
+      stage_begin_.push_back(stage_begin_.back());
+      continue;
+    }
     SimTime stage_seconds = 0;
     for (const coll::RingSpec& spec : *stage.specs) {
       const int group = static_cast<int>(group_seconds_.size());
@@ -326,25 +355,32 @@ SimTime LowerBoundPlanSeconds(const topo::MeshTopology& topo,
   // (roundings * u) relative, which the margin must cover twice over.
   double roundings = 4;
   SimTime total = 0;
-  for (const LoweredStage& stage : lowered.stages) {
-    SimTime stage_seconds = 0;
-    double stage_roundings = 0;
-    for (const coll::RingSpec& spec : *stage.specs) {
-      int links = 0;
-      const bool ring = stage.algorithm == PhaseAlgorithm::kRing;
-      const SimTime t =
-          ring ? RingStageLowerBound(hop, spec, options, &links)
-               : HdStageSeconds(hop, spec,
-                                stage.op == LoweredStage::Op::kReduceScatter,
-                                options, &links);
-      const int steps = ring ? spec.size() - 1
-                             : static_cast<int>(Log2Floor(spec.size()));
-      stage_seconds = std::max(stage_seconds, t);
-      stage_roundings =
-          std::max(stage_roundings, (steps + 1.0) * (1 + 3 * links) + 2);
+  // Per stage (bound, roundings), reused for a mirrored stage.
+  std::vector<std::pair<SimTime, double>> priced(lowered.stages.size());
+  for (std::size_t s = 0; s < lowered.stages.size(); ++s) {
+    const int mirror = MirroredStage(lowered, s);
+    if (mirror >= 0) {
+      priced[s] = priced[mirror];
+    } else {
+      const LoweredStage& stage = lowered.stages[s];
+      auto& [stage_seconds, stage_roundings] = priced[s];
+      for (const coll::RingSpec& spec : *stage.specs) {
+        int links = 0;
+        const bool ring = stage.algorithm == PhaseAlgorithm::kRing;
+        const SimTime t =
+            ring ? RingStageLowerBound(hop, spec, options, &links)
+                 : HdStageSeconds(hop, spec,
+                                  stage.op == LoweredStage::Op::kReduceScatter,
+                                  options, &links);
+        const int steps = ring ? spec.size() - 1
+                               : static_cast<int>(Log2Floor(spec.size()));
+        stage_seconds = std::max(stage_seconds, t);
+        stage_roundings =
+            std::max(stage_roundings, (steps + 1.0) * (1 + 3 * links) + 2);
+      }
     }
-    total += stage_seconds;
-    roundings += stage_roundings;
+    total += priced[s].first;
+    roundings += priced[s].second;
   }
   if (roundings * 0x1p-53 > kBoundMargin / 2) return 0;
   return total * (1 - kBoundMargin);

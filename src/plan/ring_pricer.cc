@@ -106,6 +106,17 @@ std::vector<std::vector<int>> LinkCoupledComponents(
   return components;
 }
 
+struct KeyHash {
+  std::size_t operator()(const std::vector<std::uint64_t>& key) const {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint64_t word : key) {
+      h = (h ^ word) * 0x100000001b3ull;
+      h ^= h >> 29;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
 // One component, compiled for pricing. Links are numbered in order of first
 // use, and `key` lists every input of the component's arithmetic in that
 // numbering: pass sizes and element counts, each hop's link, and each
@@ -127,6 +138,8 @@ struct Component {
   std::vector<net::Network::CachedHop> link_hop;  // per local link
   std::vector<net::Network::LinkState> link_state;
   std::vector<std::uint64_t> key;
+  // A lone pass: one pass that crosses each directed link at most once.
+  bool lone = false;
 
   // `local_of` maps every link to -1 on entry and on return.
   void Compile(const net::Network& network, const std::vector<Pass>& all,
@@ -139,6 +152,7 @@ struct Component {
     link_hop.clear();
     link_state.clear();
     key.clear();
+    lone = members.size() == 1;
     key.push_back(members.size());
     for (const int p : members) {
       const Pass& pass = all[p];
@@ -156,6 +170,7 @@ struct Component {
         key.push_back(route->hops.size());
         for (const net::Network::CachedHop& hop : route->hops) {
           int& local = local_of[hop.link];
+          if (local >= 0) lone = false;
           if (local < 0) {
             local = static_cast<int>(link_hop.size());
             link_hop.push_back(hop);
@@ -205,6 +220,7 @@ struct Component {
   // simulator fires their barriers: that of the steps they follow, by issue
   // order (each step's messages take consecutive seqs).
   SimTime Run(coll::RingOp op, SimTime overhead, SimTime now) {
+    if (lone) return RunLone(op, overhead, now);
     // (issue time, issue order, pass, step)
     using Issue = std::tuple<SimTime, std::uint64_t, int, int>;
     std::priority_queue<Issue, std::vector<Issue>, std::greater<>> queue;
@@ -225,17 +241,116 @@ struct Component {
     }
     return end;
   }
-};
 
-struct KeyHash {
-  std::size_t operator()(const std::vector<std::uint64_t>& key) const {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const std::uint64_t word : key) {
-      h = (h ^ word) * 0x100000001b3ull;
-      h ^= h >> 29;
+  // Run for a lone pass, at a cost that grows with its route classes rather
+  // than its messages. Every link is idle when a step starts (the one
+  // message that crossed it last step arrived before the step ended), so a
+  // message's arrival is a function of the step's start, its bytes and its
+  // route class: the hop sequence of (latency, bandwidth, degradation,
+  // failed). Equal operands in equal order give equal times, so a step ends
+  // at the latest head over the distinct (class, chunk bytes) pairs it
+  // sends, each computed once.
+  SimTime RunLone(coll::RingOp op, SimTime overhead, SimTime now) {
+    const PassInfo& pass = passes.front();
+    const int n = pass.n;
+    ClassifyRoutes(n);
+    const int classes = static_cast<int>(class_rank.size());
+    // Runs of equal bytes in the chunk layout: (first chunk, bytes).
+    runs.clear();
+    for (int c = 0; c < n; ++c) {
+      const Bytes bytes = chunk_bytes[pass.first_chunk + c];
+      if (runs.empty() || runs.back().second != bytes) {
+        runs.emplace_back(c, bytes);
+      }
     }
-    return static_cast<std::size_t>(h);
+    const auto head = [&](int k, Bytes bytes, SimTime at) {
+      SimTime head = at + overhead;
+      const int r = class_rank[k];
+      for (int h = rank_begin[r]; h < rank_begin[r + 1]; ++h) {
+        const int l = hop_link[h];
+        net::Network::LinkState idle = link_state[l];
+        net::Network::ReserveHop(idle, link_hop[l], bytes, at, head);
+      }
+      return head;
+    };
+    seen.assign(classes, -1);
+    int mark = 0;
+    for (int step = 0; step + 1 < n; ++step) {
+      // Rank r sends chunk (first + r) % n.
+      const int first = coll::SendChunkIndex(op, n, 0, step);
+      SimTime end = now;
+      for (std::size_t i = 0; i < runs.size(); ++i, ++mark) {
+        const auto [chunk, bytes] = runs[i];
+        const int len =
+            (i + 1 < runs.size() ? runs[i + 1].first : n) - chunk;
+        const int from = (chunk - first + n) % n;  // ranks [from, from + len)
+        if (len <= classes) {
+          for (int j = 0; j < len; ++j) {
+            int& k_seen = seen[rank_class[(from + j) % n]];
+            if (k_seen == mark) continue;
+            k_seen = mark;
+            end = std::max(end, head(rank_class[(from + j) % n], bytes, now));
+          }
+          continue;
+        }
+        for (int k = 0; k < classes; ++k) {
+          if (ClassSendsFrom(k, from, len, n)) {
+            end = std::max(end, head(k, bytes, now));
+          }
+        }
+      }
+      now = end;
+    }
+    return now;
   }
+
+  // Numbers the lone pass's route classes in order of first rank:
+  // rank_class[r], each class's first rank class_rank[k], and its ranks
+  // ascending in class_ranks[class_begin[k] .. class_begin[k + 1]).
+  void ClassifyRoutes(int n) {
+    std::unordered_map<std::vector<std::uint64_t>, int, KeyHash> ids;
+    std::vector<std::uint64_t> route;
+    rank_class.resize(n);
+    class_rank.clear();
+    for (int r = 0; r < n; ++r) {
+      route.clear();
+      for (int h = rank_begin[r]; h < rank_begin[r + 1]; ++h) {
+        const int l = hop_link[h];
+        route.push_back(std::bit_cast<std::uint64_t>(link_hop[l].latency));
+        route.push_back(std::bit_cast<std::uint64_t>(link_hop[l].bandwidth));
+        route.push_back(
+            std::bit_cast<std::uint64_t>(link_state[l].degradation));
+        route.push_back(link_state[l].failed);
+      }
+      const auto [it, fresh] =
+          ids.try_emplace(route, static_cast<int>(class_rank.size()));
+      if (fresh) class_rank.push_back(r);
+      rank_class[r] = it->second;
+    }
+    const int classes = static_cast<int>(class_rank.size());
+    class_begin.assign(classes + 1, 0);
+    for (int r = 0; r < n; ++r) ++class_begin[rank_class[r] + 1];
+    for (int k = 0; k < classes; ++k) class_begin[k + 1] += class_begin[k];
+    class_ranks.resize(n);
+    std::vector<int> next(class_begin.begin(), class_begin.end() - 1);
+    for (int r = 0; r < n; ++r) class_ranks[next[rank_class[r]]++] = r;
+  }
+
+  // Whether class k has a rank in the cyclic interval [from, from + len).
+  bool ClassSendsFrom(int k, int from, int len, int n) const {
+    const auto first = class_ranks.begin() + class_begin[k];
+    const auto last = class_ranks.begin() + class_begin[k + 1];
+    const auto any_in = [&](int lo, int hi) {  // [lo, hi)
+      const auto it = std::lower_bound(first, last, lo);
+      return it != last && *it < hi;
+    };
+    if (from + len <= n) return any_in(from, from + len);
+    return any_in(from, n) || any_in(0, from + len - n);
+  }
+
+  // Lone-pass scratch, reused across components.
+  std::vector<std::pair<int, Bytes>> runs;
+  std::vector<int> rank_class, class_rank, class_begin, class_ranks, seen;
 };
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "plan/schedule.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -30,30 +32,29 @@ struct Group {
   std::string label;
 };
 
-// Group enumeration order is load-bearing: it fixes the event creation order
-// of the lowered schedule (Y groups by x ascending; X groups by y, then
-// stride offset), and with it every simulated time the paper's schedule
-// reports.
-std::vector<Group> GroupsFor(const topo::MeshTopology& topo,
-                             const PlanPhase& phase, bool labeled) {
-  std::vector<Group> groups;
+// Calls fn(group) for every group of `phase`, which fn may move from.
+// Group enumeration order is load-bearing: it fixes the event creation
+// order of the lowered schedule (Y groups by x ascending; X groups by y,
+// then stride offset), and with it every simulated time the paper's
+// schedule reports.
+template <typename Fn>
+void ForEachGroup(const topo::MeshTopology& topo, const PlanPhase& phase,
+                  bool labeled, Fn&& fn) {
   const bool ring = phase.algorithm == PhaseAlgorithm::kRing;
+  Group group;
   switch (phase.dim) {
     case PlanDim::kY:
-      groups.reserve(topo.size_x());
       for (int x = 0; x < topo.size_x(); ++x) {
-        Group group;
         const topo::ChipId through = topo.ChipAt({x, 0});
         group.order = ring ? topo.RingAlong(topo::Dim::kY, through)
                            : topo.LineAlong(topo::Dim::kY, through);
         if (labeled) group.label = "Y x=" + std::to_string(x);
-        groups.push_back(std::move(group));
+        fn(group);
       }
       break;
     case PlanDim::kX:
       for (int y = 0; y < topo.size_y(); ++y) {
         for (int offset = 0; offset < phase.stride; ++offset) {
-          Group group;
           const topo::ChipId through = topo.ChipAt({offset, y});
           group.order =
               ring ? topo.StridedRingAlong(topo::Dim::kX, through,
@@ -63,20 +64,34 @@ std::vector<Group> GroupsFor(const topo::MeshTopology& topo,
             group.label = "X y=" + std::to_string(y);
             if (phase.stride > 1) group.label += " g" + std::to_string(offset);
           }
-          groups.push_back(std::move(group));
+          fn(group);
         }
       }
       break;
-    case PlanDim::kFlat: {
-      Group group;
+    case PlanDim::kFlat:
       group.order = coll::SnakeRingOverMesh(topo);
       if (labeled) group.label = "flat";
-      groups.push_back(std::move(group));
+      fn(group);
       break;
-    }
   }
-  return groups;
 }
+
+// The payload sub-ranges every chip owns, in one range buffer: chip c owns
+// ranges[spans[c].offset .. spans[c].offset + spans[c].count), each
+// non-empty, in payload order of the reductions that cut them.
+struct Ownership {
+  struct Span {
+    int offset = 0;
+    int count = 0;
+  };
+  std::vector<coll::Range> ranges;
+  std::vector<Span> spans;
+
+  std::span<const coll::Range> Of(topo::ChipId chip) const {
+    return {ranges.data() + spans[chip].offset,
+            static_cast<std::size_t>(spans[chip].count)};
+  }
+};
 
 }  // namespace
 
@@ -96,31 +111,60 @@ LoweredPlan LowerPlan(const topo::MeshTopology& topo,
   lowered.plan = plan;
   lowered.elems = elems;
 
-  // Per-chip owned (non-empty) sub-ranges, updated through the RS stages.
-  std::vector<std::vector<coll::Range>> owned(
-      topo.num_chips(), {coll::Range{0, elems}});
+  // Every chip starts owning the whole payload: one shared range.
+  const int chips = topo.num_chips();
+  Ownership owned;
+  owned.ranges.push_back(coll::Range{0, elems});
+  owned.spans.assign(chips, Ownership::Span{0, 1});
   std::vector<std::int64_t> owned_at_update;
 
   // Unmatched reduce-scatters: the mirroring all-gather reuses the spec list
-  // and restores the pre-RS ownership.
+  // and takes back the pre-RS ownership.
   struct OpenReduce {
     std::shared_ptr<std::vector<coll::RingSpec>> specs;
-    std::vector<std::vector<coll::Range>> owned_before;
+    Ownership owned_before;
   };
   std::vector<OpenReduce> open;
 
   auto run_reduce = [&](const PlanPhase& phase) {
-    OpenReduce frame;
-    frame.owned_before = owned;
-    frame.specs = std::make_shared<std::vector<coll::RingSpec>>();
-    const std::vector<Group> groups = GroupsFor(topo, phase, labeled);
-    for (const Group& group : groups) {
+    const bool ring = phase.algorithm == PhaseAlgorithm::kRing;
+    // Each range splits into at most two shards per member.
+    Ownership next;
+    std::size_t shards = 0;
+    for (const Ownership::Span& span : owned.spans) shards += 2 * span.count;
+    next.ranges.reserve(shards);
+    next.spans.resize(chips);
+    auto specs = std::make_shared<std::vector<coll::RingSpec>>();
+    int covered = 0;
+    ForEachGroup(topo, phase, labeled, [&](Group& group) {
       const int n = static_cast<int>(group.order.size());
+      covered += n;
       // Every member owns the same ranges (ownership so far depends only on
       // the coordinates the group holds fixed); guard the invariant cheaply.
+      const std::span<const coll::Range> ranges = owned.Of(group.order[0]);
       if (n >= 2) {
-        TPU_CHECK(owned[group.order[0]] == owned[group.order[1]])
+        TPU_CHECK(std::ranges::equal(ranges, owned.Of(group.order[1])))
             << "group members own different ranges";
+      }
+      // Ownership after the reduce: each member keeps its shard of every
+      // range the group covered.
+      for (int rank = 0; rank < n; ++rank) {
+        Ownership::Span& span = next.spans[group.order[rank]];
+        span.offset = static_cast<int>(next.ranges.size());
+        for (const coll::Range& range : ranges) {
+          std::array<coll::Range, 2> shard;
+          int count = 1;
+          if (ring) {
+            count =
+                coll::OwnedAfterReduceScatter(range, n, rank, options, shard);
+          } else {
+            shard[0] = coll::HdOwnedAfterReduceScatter(range, n, rank);
+          }
+          for (int i = 0; i < count; ++i) {
+            if (shard[i].size() > 0) next.ranges.push_back(shard[i]);
+          }
+        }
+        span.count = static_cast<int>(next.ranges.size()) - span.offset;
       }
       std::vector<float*> data;
       if (!chip_buffers.empty()) {
@@ -129,51 +173,38 @@ LoweredPlan LowerPlan(const topo::MeshTopology& topo,
           data.push_back(chip_buffers[chip]);
         }
       }
-      for (const coll::Range& range : owned[group.order[0]]) {
-        if (range.size() == 0) continue;
-        coll::RingSpec spec;
-        spec.order = group.order;
-        spec.data = data;
-        spec.range = range;
-        spec.label = group.label;
-        frame.specs->push_back(std::move(spec));
-      }
-      // Ownership after the reduce: each member keeps its shard of every
-      // range the group covered.
-      for (int rank = 0; rank < n; ++rank) {
-        const topo::ChipId chip = group.order[rank];
-        std::vector<coll::Range> next;
-        for (const coll::Range& range : owned[chip]) {
-          if (range.size() == 0) continue;
-          if (phase.algorithm == PhaseAlgorithm::kRing) {
-            for (const coll::Range& shard :
-                 coll::OwnedAfterReduceScatter(range, n, rank, options)) {
-              if (shard.size() > 0) next.push_back(shard);
-            }
-          } else {
-            const coll::Range shard =
-                coll::HdOwnedAfterReduceScatter(range, n, rank);
-            if (shard.size() > 0) next.push_back(shard);
-          }
+      // One spec per owned range; the last one takes the group's buffers.
+      for (std::size_t i = 0; i < ranges.size(); ++i) {
+        coll::RingSpec& spec = specs->emplace_back();
+        spec.range = ranges[i];
+        if (i + 1 < ranges.size()) {
+          spec.order = group.order;
+          spec.data = data;
+          spec.label = group.label;
+        } else {
+          spec.order = std::move(group.order);
+          spec.data = std::move(data);
+          spec.label = std::move(group.label);
         }
-        owned[chip] = std::move(next);
       }
-    }
+    });
+    TPU_CHECK_EQ(covered, chips) << "a phase's groups must cover every chip";
     LoweredStage stage;
     stage.op = LoweredStage::Op::kReduceScatter;
     stage.algorithm = phase.algorithm;
     stage.dim = phase.dim;
     stage.name = StageName(stage.op, phase.dim);
-    stage.specs = frame.specs;
+    stage.specs = specs;
     lowered.stages.push_back(stage);
     lowered.update_after = static_cast<int>(lowered.stages.size()) - 1;
-    open.push_back(std::move(frame));
+    open.push_back({std::move(specs), std::move(owned)});
+    owned = std::move(next);
     // Snapshot ownership here: the last reduce-scatter's snapshot survives
     // as the update point (trailing all-gathers restore `owned`, so it
     // cannot be read after the walk).
-    owned_at_update.assign(topo.num_chips(), 0);
-    for (int chip = 0; chip < topo.num_chips(); ++chip) {
-      for (const coll::Range& range : owned[chip]) {
+    owned_at_update.assign(chips, 0);
+    for (int chip = 0; chip < chips; ++chip) {
+      for (const coll::Range& range : owned.Of(chip)) {
         owned_at_update[chip] += range.size();
       }
     }

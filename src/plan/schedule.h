@@ -2,7 +2,12 @@
 //
 // LowerPlan is the only builder of the 2-D ring groups. It walks the plan
 // phase by phase, tracking which payload sub-ranges every chip owns, and
-// materializes one coll::RingSpec per (group, owned range). A reduce-scatter
+// materializes one coll::RingSpec per (group, owned range). Ownership lives
+// in flat arrays: one range buffer per ownership state, and per chip an
+// (offset, count) span into it. Before the first reduce every chip's span
+// names the same single range; each reduce-scatter builds the next buffer
+// from the group members' shards, and hands the buffer it replaces to its
+// mirroring all-gather by move, which restores it. A reduce-scatter
 // and its mirroring all-gather share one spec list (an all-gather re-runs the
 // same groups over the same ranges in reverse), and all-reduce-in-one phases
 // expand into an RS stage plus an AG stage on shared specs. The closed-form

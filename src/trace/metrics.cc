@@ -1,7 +1,9 @@
 #include "trace/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -24,6 +26,26 @@ std::string FormatDouble(double v) {
 }  // namespace
 
 int MetricHistogram::BucketOf(double value) {
+  // value = m * 2^e with m in [1, 2) lands in bucket 8e + k, where k counts
+  // the cuts m passes: kCut[k] is the mantissa of 2^((k + 1e-9) / 8), where
+  // the log2 formula below crosses an integer. Within kNear ulps of a cut
+  // that formula's own rounding decides (by at most a few thousand ulps at
+  // any exponent), so it runs there, and for zero, subnormal, negative,
+  // infinite and NaN values.
+  static constexpr std::uint64_t kCut[kBucketsPerOctave] = {
+      0x5f43f,          0x172b83c83cfaf, 0x306fe0a38cbba, 0x4bfdad53de2db,
+      0x6a09e6687a769, 0x8ace54233cf91, 0xae89f9964d725, 0xd5818dd069002};
+  static constexpr std::uint64_t kNear = 1 << 16;
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
+  const std::uint64_t biased = bits >> 52;  // sign and exponent
+  const std::uint64_t mantissa = bits & ((std::uint64_t{1} << 52) - 1);
+  if (biased - 1 < 0x7fe) {  // positive and normal
+    int k = 0;
+    while (k < kBucketsPerOctave && mantissa > kCut[k] + kNear) ++k;
+    if (k == kBucketsPerOctave || mantissa + kNear < kCut[k]) {
+      return (static_cast<int>(biased) - 1023) * kBucketsPerOctave + k;
+    }
+  }
   // value in (BucketLow(b), BucketHigh(b)]  with bounds 2^(b / 8).
   return static_cast<int>(
       std::ceil(std::log2(value) * kBucketsPerOctave - 1e-9));

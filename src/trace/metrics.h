@@ -58,8 +58,12 @@ class MetricHistogram {
   // Forgets every recorded sample (back to the empty-histogram state).
   void Reset();
 
- private:
+  // The bucket a positive value lands in: b = ceil(8 log2(value) - 1e-9),
+  // so bucket b holds (2^((b - 1) / 8), 2^(b / 8)] and the slack keeps a
+  // value rounded to a bound in the bucket that bound closes.
   static int BucketOf(double value);
+
+ private:
   static double BucketLow(int bucket);
   static double BucketHigh(int bucket);
 

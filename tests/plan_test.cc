@@ -7,11 +7,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "collectives/all_reduce.h"
+#include "collectives/halving_doubling.h"
 #include "common/rng.h"
 #include "core/multipod.h"
 #include "fault/health_monitor.h"
@@ -27,6 +29,7 @@
 #include "sim/simulator.h"
 #include "topology/topology.h"
 #include "trace/run_report.h"
+#include "trace/trace.h"
 
 namespace tpu {
 namespace {
@@ -170,6 +173,235 @@ TEST(PlanSchedule, LoweringTracksOwnershipAndSharesSpecs) {
     EXPECT_EQ(owned, 128);
   }
   EXPECT_EQ(lowered.max_owned_elems, 128);
+}
+
+// The per-chip lowering LowerPlan replaced, kept as its reference: every
+// chip's owned ranges in a vector of their own, deep-copied for the
+// mirroring all-gather, shards from the vector form of
+// OwnedAfterReduceScatter.
+const char* ReferenceStageName(plan::LoweredStage::Op op, plan::PlanDim dim) {
+  const bool rs = op == plan::LoweredStage::Op::kReduceScatter;
+  switch (dim) {
+    case plan::PlanDim::kY:
+      return rs ? "Y-reduce-scatter" : "Y-all-gather";
+    case plan::PlanDim::kX:
+      return rs ? "X-reduce-scatter" : "X-all-gather";
+    case plan::PlanDim::kFlat:
+      return rs ? "flat-reduce-scatter" : "flat-all-gather";
+  }
+  return "";
+}
+
+struct ReferenceGroup {
+  std::vector<topo::ChipId> order;
+  std::string label;
+};
+
+std::vector<ReferenceGroup> ReferenceGroups(const topo::MeshTopology& topo,
+                                            const plan::PlanPhase& phase,
+                                            bool labeled) {
+  std::vector<ReferenceGroup> groups;
+  const bool ring = phase.algorithm == plan::PhaseAlgorithm::kRing;
+  switch (phase.dim) {
+    case plan::PlanDim::kY:
+      for (int x = 0; x < topo.size_x(); ++x) {
+        ReferenceGroup group;
+        const topo::ChipId through = topo.ChipAt({x, 0});
+        group.order = ring ? topo.RingAlong(topo::Dim::kY, through)
+                           : topo.LineAlong(topo::Dim::kY, through);
+        if (labeled) group.label = "Y x=" + std::to_string(x);
+        groups.push_back(std::move(group));
+      }
+      break;
+    case plan::PlanDim::kX:
+      for (int y = 0; y < topo.size_y(); ++y) {
+        for (int offset = 0; offset < phase.stride; ++offset) {
+          ReferenceGroup group;
+          const topo::ChipId through = topo.ChipAt({offset, y});
+          group.order =
+              ring ? topo.StridedRingAlong(topo::Dim::kX, through,
+                                           phase.stride)
+                   : topo.LineAlong(topo::Dim::kX, through);
+          if (labeled) {
+            group.label = "X y=" + std::to_string(y);
+            if (phase.stride > 1) group.label += " g" + std::to_string(offset);
+          }
+          groups.push_back(std::move(group));
+        }
+      }
+      break;
+    case plan::PlanDim::kFlat: {
+      ReferenceGroup group;
+      group.order = coll::SnakeRingOverMesh(topo);
+      if (labeled) group.label = "flat";
+      groups.push_back(std::move(group));
+      break;
+    }
+  }
+  return groups;
+}
+
+plan::LoweredPlan ReferenceLowerPlan(const topo::MeshTopology& topo,
+                                     const plan::CollectivePlan& plan,
+                                     std::int64_t elems,
+                                     const std::vector<float*>& chip_buffers) {
+  using Op = plan::LoweredStage::Op;
+  const bool labeled = trace::CurrentTrace() != nullptr;
+  const coll::CollectiveOptions options = plan.collective_options();
+  plan::LoweredPlan lowered;
+  lowered.plan = plan;
+  lowered.elems = elems;
+  std::vector<std::vector<coll::Range>> owned(topo.num_chips(),
+                                              {coll::Range{0, elems}});
+  std::vector<std::int64_t> owned_at_update;
+  struct OpenReduce {
+    std::shared_ptr<std::vector<coll::RingSpec>> specs;
+    std::vector<std::vector<coll::Range>> owned_before;
+  };
+  std::vector<OpenReduce> open;
+  const auto add_stage = [&](Op op, const plan::PlanPhase& phase,
+                             std::shared_ptr<std::vector<coll::RingSpec>>
+                                 specs) {
+    plan::LoweredStage stage;
+    stage.op = op;
+    stage.algorithm = phase.algorithm;
+    stage.dim = phase.dim;
+    stage.name = ReferenceStageName(op, phase.dim);
+    stage.specs = std::move(specs);
+    lowered.stages.push_back(stage);
+  };
+  const auto run_reduce = [&](const plan::PlanPhase& phase) {
+    OpenReduce frame;
+    frame.owned_before = owned;
+    frame.specs = std::make_shared<std::vector<coll::RingSpec>>();
+    for (const ReferenceGroup& group : ReferenceGroups(topo, phase, labeled)) {
+      const int n = static_cast<int>(group.order.size());
+      std::vector<float*> data;
+      for (const topo::ChipId chip : group.order) {
+        if (!chip_buffers.empty()) data.push_back(chip_buffers[chip]);
+      }
+      for (const coll::Range& range : owned[group.order[0]]) {
+        if (range.size() == 0) continue;
+        frame.specs->push_back({group.order, data, range, group.label});
+      }
+      for (int rank = 0; rank < n; ++rank) {
+        const topo::ChipId chip = group.order[rank];
+        std::vector<coll::Range> next;
+        for (const coll::Range& range : owned[chip]) {
+          if (range.size() == 0) continue;
+          if (phase.algorithm == plan::PhaseAlgorithm::kRing) {
+            for (const coll::Range& shard :
+                 coll::OwnedAfterReduceScatter(range, n, rank, options)) {
+              if (shard.size() > 0) next.push_back(shard);
+            }
+          } else {
+            const coll::Range shard =
+                coll::HdOwnedAfterReduceScatter(range, n, rank);
+            if (shard.size() > 0) next.push_back(shard);
+          }
+        }
+        owned[chip] = std::move(next);
+      }
+    }
+    add_stage(Op::kReduceScatter, phase, frame.specs);
+    lowered.update_after = static_cast<int>(lowered.stages.size()) - 1;
+    open.push_back(std::move(frame));
+    owned_at_update.assign(topo.num_chips(), 0);
+    for (int chip = 0; chip < topo.num_chips(); ++chip) {
+      for (const coll::Range& range : owned[chip]) {
+        owned_at_update[chip] += range.size();
+      }
+    }
+  };
+  const auto run_gather = [&](const plan::PlanPhase& phase) {
+    OpenReduce frame = std::move(open.back());
+    open.pop_back();
+    add_stage(Op::kAllGather, phase, frame.specs);
+    owned = std::move(frame.owned_before);
+  };
+  for (const plan::PlanPhase& phase : plan.phases) {
+    if (phase.kind != plan::PhaseKind::kAllGather) run_reduce(phase);
+    if (phase.kind != plan::PhaseKind::kReduceScatter) run_gather(phase);
+  }
+  lowered.owned_elems = std::move(owned_at_update);
+  for (const std::int64_t chip_elems : lowered.owned_elems) {
+    lowered.max_owned_elems = std::max(lowered.max_owned_elems, chip_elems);
+  }
+  return lowered;
+}
+
+void ExpectSameLowering(const plan::LoweredPlan& got,
+                        const plan::LoweredPlan& want) {
+  EXPECT_EQ(got.plan.name(), want.plan.name());
+  EXPECT_EQ(got.elems, want.elems);
+  ASSERT_EQ(got.stages.size(), want.stages.size());
+  for (std::size_t i = 0; i < want.stages.size(); ++i) {
+    SCOPED_TRACE("stage " + std::to_string(i));
+    const plan::LoweredStage& g = got.stages[i];
+    const plan::LoweredStage& w = want.stages[i];
+    EXPECT_EQ(g.op, w.op);
+    EXPECT_EQ(g.algorithm, w.algorithm);
+    EXPECT_EQ(g.dim, w.dim);
+    EXPECT_STREQ(g.name, w.name);
+    // The same stages share a spec list.
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_EQ(g.specs == got.stages[j].specs,
+                w.specs == want.stages[j].specs)
+          << "with stage " << j;
+    }
+    ASSERT_EQ(g.specs->size(), w.specs->size());
+    for (std::size_t k = 0; k < w.specs->size(); ++k) {
+      const coll::RingSpec& gs = (*g.specs)[k];
+      const coll::RingSpec& ws = (*w.specs)[k];
+      EXPECT_EQ(gs.order, ws.order) << "spec " << k;
+      EXPECT_EQ(gs.data, ws.data) << "spec " << k;
+      EXPECT_EQ(gs.range, ws.range) << "spec " << k;
+      EXPECT_EQ(gs.label, ws.label) << "spec " << k;
+    }
+  }
+  EXPECT_EQ(got.update_after, want.update_after);
+  EXPECT_EQ(got.owned_elems, want.owned_elems);
+  EXPECT_EQ(got.max_owned_elems, want.max_owned_elems);
+}
+
+TEST(PlanSchedule, LoweringMatchesThePerChipReference) {
+  const std::vector<topo::TopologyConfig> shapes = {
+      topo::TopologyConfig::Slice(16, 8, true),
+      topo::TopologyConfig::Slice(16, 8, false),
+      topo::TopologyConfig::Slice(8, 4, true), core::TopologyForChips(1024)};
+  int lowerings = 0;
+  for (const topo::TopologyConfig& shape : shapes) {
+    const topo::MeshTopology topo(shape);
+    std::vector<float> payload(topo.num_chips());
+    std::vector<float*> buffers;
+    for (float& chip : payload) buffers.push_back(&chip);
+    for (const int stride : {1, 2, 4}) {
+      // 3 elements: fewer than ring ranks, so shards come out empty; 10007
+      // is prime.
+      for (const std::int64_t elems : {std::int64_t{340'000'000},
+                                       std::int64_t{3}, std::int64_t{10007}}) {
+        plan::PlanRequest request;
+        request.elems = elems;
+        request.model_parallel_stride = stride;
+        for (const plan::CollectivePlan& candidate :
+             plan::GeneratePlans(topo, request)) {
+          SCOPED_TRACE(std::to_string(topo.size_x()) + "x" +
+                       std::to_string(topo.size_y()) + " s" +
+                       std::to_string(stride) + " e" + std::to_string(elems) +
+                       " " + candidate.name());
+          ExpectSameLowering(plan::LowerPlan(topo, candidate, elems),
+                             ReferenceLowerPlan(topo, candidate, elems, {}));
+          trace::TraceRecorder recorder;
+          trace::ScopedTrace scoped(&recorder);
+          ExpectSameLowering(
+              plan::LowerPlan(topo, candidate, elems, buffers),
+              ReferenceLowerPlan(topo, candidate, elems, buffers));
+          ++lowerings;
+        }
+      }
+    }
+  }
+  EXPECT_GT(lowerings, 400);
 }
 
 // TwoDGradientSummation and ExecutePlan(PaperPlan) run the same lowering and

@@ -8,8 +8,10 @@
 // equal RunLoweredPlan's in every field.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -247,6 +249,91 @@ TEST(RingPricer, MatchesTheSimulationOnATwoPodMultipod) {
   EXPECT_GT(ExpectPricesMatchSimulation(cases, net::NetworkConfig{}, 1,
                                         /*health_sets=*/3, /*ring_only=*/true),
             0);
+}
+
+// ROADMAP item 1's flat ring: on the 4096-chip multipod each direction of
+// `ring-flat bidir bf16` is a lone pass (one pass, every directed link
+// crossed at most once), which PriceRingPlan prices per route class. Here it
+// is checked against RunLoweredPlan bit for bit, healthy, with one failed
+// link (its class holds one rank) and with one link slowed 4096x (a class
+// that differs from the healthy one only in degradation).
+class FlatRingAt4096 : public ::testing::TestWithParam<int> {};
+
+TEST_P(FlatRingAt4096, MatchesTheSimulation) {
+  const topo::MeshTopology topo(core::TopologyForChips(4096));
+  plan::PlanRequest request;
+  request.elems = kBertElems;
+  const std::vector<plan::CollectivePlan> candidates =
+      plan::GeneratePlans(topo, request);
+  const auto flat = std::find_if(
+      candidates.begin(), candidates.end(),
+      [](const plan::CollectivePlan& plan) {
+        return plan.name() == "ring-flat bidir bf16";
+      });
+  ASSERT_NE(flat, candidates.end());
+  const plan::LoweredPlan lowered = plan::LowerPlan(topo, *flat, kBertElems);
+  ASSERT_TRUE(plan::RingPricerApplies(lowered));
+  // The snake's X link (1, 0) -> (2, 0) and its Y link (0, 1) -> (0, 2).
+  plan::LinkHealthSet health;
+  if (GetParam() == 1) {
+    health.failed = {topo.LinkBetween(topo.ChipAt({1, 0}), topo.ChipAt({2, 0}))};
+  } else if (GetParam() == 2) {
+    health.degraded = {
+        {topo.LinkBetween(topo.ChipAt({0, 1}), topo.ChipAt({0, 2})), 4096.0}};
+  }
+  ExpectPricedRunMatchesSimulation(topo, net::NetworkConfig{}, health,
+                                   lowered);
+}
+
+INSTANTIATE_TEST_SUITE_P(HealthyFailedSlowed, FlatRingAt4096,
+                         ::testing::Values(0, 1, 2));
+
+// A lone pass that crosses one directed link twice: a monodirectional ring
+// over row 0 of a 4 x 2 mesh in the order x = 0, 2, 1, 3, whose hops
+// 0 -> 2 and 1 -> 3 both cross (1, 0) -> (2, 0), so the second message
+// queues behind the first. Such a pass must keep the queue path.
+TEST(RingPricer, LonePassCrossingALinkTwiceQueues) {
+  const topo::MeshTopology topo(topo::TopologyConfig::Slice(4, 2, false));
+  plan::PlanRequest request;
+  request.elems = 1 << 20;
+  const std::vector<plan::CollectivePlan> candidates =
+      plan::GeneratePlans(topo, request);
+  const auto flat = std::find_if(
+      candidates.begin(), candidates.end(),
+      [](const plan::CollectivePlan& plan) {
+        return plan.name() == "ring-flat mono fp32";
+      });
+  ASSERT_NE(flat, candidates.end());
+  plan::LoweredPlan lowered = plan::LowerPlan(topo, *flat, request.elems);
+  ASSERT_EQ(lowered.stages.size(), 2u);
+  coll::RingSpec spec;
+  for (const int x : {0, 2, 1, 3}) spec.order.push_back(topo.ChipAt({x, 0}));
+  for (const int x : {3, 2, 1, 0}) spec.order.push_back(topo.ChipAt({x, 1}));
+  spec.range = {0, request.elems};
+  const auto specs =
+      std::make_shared<std::vector<coll::RingSpec>>(1, std::move(spec));
+  for (plan::LoweredStage& stage : lowered.stages) stage.specs = specs;
+
+  // The pass does cross a directed link twice.
+  sim::Simulator simulator;
+  net::Network network(&topo, net::NetworkConfig{}, &simulator);
+  std::vector<int> crossings(topo.links().size(), 0);
+  const std::vector<topo::ChipId>& order = specs->front().order;
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    for (const auto& hop :
+         network.RouteFor(order[r], order[(r + 1) % order.size()]).hops) {
+      ++crossings[hop.link];
+    }
+  }
+  EXPECT_EQ(*std::max_element(crossings.begin(), crossings.end()), 2);
+
+  for (const net::NetworkConfig& config :
+       {net::NetworkConfig{}, DyadicConfig()}) {
+    for (const plan::LinkHealthSet& health : HealthSets(topo)) {
+      SCOPED_TRACE(health.CacheKeyFragment());
+      ExpectPricedRunMatchesSimulation(topo, config, health, lowered);
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // cases, simulator counters, and the step profiler.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -479,6 +480,54 @@ TEST(MetricHistogram, ResetRestoresTheEmptyState) {
   histogram.Record(3.0);
   EXPECT_EQ(histogram.count(), 1);
   EXPECT_DOUBLE_EQ(histogram.Percentile(0.5), 3.0);
+}
+
+// The log2 formula BucketOf computes from the exponent bits.
+int LogBucket(double value) {
+  return static_cast<int>(std::ceil(std::log2(value) * 8 - 1e-9));
+}
+
+// `value` moved by `ulps` units in the last place (positive values only).
+double UlpsAway(double value, std::int64_t ulps) {
+  return std::bit_cast<double>(std::bit_cast<std::int64_t>(value) + ulps);
+}
+
+TEST(MetricHistogram, BucketOfMatchesTheLog2Formula) {
+  const auto expect_same = [](double value) {
+    EXPECT_EQ(trace::MetricHistogram::BucketOf(value), LogBucket(value))
+        << std::hexfloat << value;
+  };
+  // Every bound 2^(b / 8) of the normal range and its neighbouring ulps,
+  // and every point where the formula's 1e-9 slack ends (about 4e5 ulps
+  // above the bound), at and around the width of BucketOf's fallback band.
+  for (int b = -8 * 1022; b < 8 * 1024; ++b) {
+    const double bound = std::exp2(b / 8.0);
+    for (const std::int64_t ulps : {-2, -1, 0, 1, 2}) {
+      expect_same(UlpsAway(bound, ulps));
+    }
+    const double cut = std::exp2((b + 1e-9) / 8.0);
+    for (const std::int64_t ulps :
+         {0, 1, 1000, 65535, 65536, 65537, 70000, 200000}) {
+      expect_same(UlpsAway(cut, ulps));
+      expect_same(UlpsAway(cut, -ulps));
+    }
+  }
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double smallest = std::numeric_limits<double>::min();
+  const double largest = std::numeric_limits<double>::max();
+  for (const double value :
+       {denorm, 3 * denorm, smallest / 3, UlpsAway(smallest, -1), smallest,
+        UlpsAway(smallest, 1), UlpsAway(largest, -1), largest, 1.0,
+        UlpsAway(1.0, -1), UlpsAway(1.0, 1), 2.0, 1e-300, 1e300}) {
+    expect_same(value);
+  }
+  // Random positive normal values.
+  std::mt19937_64 rng(26);
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t exponent = 1 + rng() % 0x7fe;
+    const std::uint64_t mantissa = rng() >> 12;
+    expect_same(std::bit_cast<double>(exponent << 52 | mantissa));
+  }
 }
 
 TEST(MetricsRegistry, ResetClearsAllInstrumentsForReuse) {
