@@ -170,8 +170,9 @@ struct Component {
         key.push_back(route->hops.size());
         for (const net::Network::CachedHop& hop : route->hops) {
           int& local = local_of[hop.link];
-          if (local >= 0) lone = false;
-          if (local < 0) {
+          if (local >= 0) {
+            lone = false;  // a second crossing when there is one pass
+          } else {
             local = static_cast<int>(link_hop.size());
             link_hop.push_back(hop);
             net::Network::LinkState& state = link_state.emplace_back();
@@ -263,7 +264,7 @@ struct Component {
         runs.emplace_back(c, bytes);
       }
     }
-    const auto head = [&](int k, Bytes bytes, SimTime at) {
+    const auto arrival = [&](int k, Bytes bytes, SimTime at) {
       SimTime head = at + overhead;
       const int r = class_rank[k];
       for (int h = rank_begin[r]; h < rank_begin[r + 1]; ++h) {
@@ -286,16 +287,16 @@ struct Component {
         const int from = (chunk - first + n) % n;  // ranks [from, from + len)
         if (len <= classes) {
           for (int j = 0; j < len; ++j) {
-            int& k_seen = seen[rank_class[(from + j) % n]];
-            if (k_seen == mark) continue;
-            k_seen = mark;
-            end = std::max(end, head(rank_class[(from + j) % n], bytes, now));
+            const int k = rank_class[(from + j) % n];
+            if (seen[k] == mark) continue;
+            seen[k] = mark;
+            end = std::max(end, arrival(k, bytes, now));
           }
           continue;
         }
         for (int k = 0; k < classes; ++k) {
           if (ClassSendsFrom(k, from, len, n)) {
-            end = std::max(end, head(k, bytes, now));
+            end = std::max(end, arrival(k, bytes, now));
           }
         }
       }
@@ -348,7 +349,7 @@ struct Component {
     return any_in(from, n) || any_in(0, from + len - n);
   }
 
-  // Lone-pass scratch, reused across components.
+  // Lone-pass working arrays, reused across components.
   std::vector<std::pair<int, Bytes>> runs;
   std::vector<int> rank_class, class_rank, class_begin, class_ranks, seen;
 };

@@ -251,7 +251,7 @@ TEST(RingPricer, MatchesTheSimulationOnATwoPodMultipod) {
             0);
 }
 
-// ROADMAP item 1's flat ring: on the 4096-chip multipod each direction of
+// The 4096-chip flat ring: on that multipod each direction of
 // `ring-flat bidir bf16` is a lone pass (one pass, every directed link
 // crossed at most once), which PriceRingPlan prices per route class. Here it
 // is checked against RunLoweredPlan bit for bit, healthy, with one failed
