@@ -46,7 +46,7 @@ std::string Num(double value) {
 }
 
 // The goodput column: a percentage, or where the clock stopped when the work
-// never finished (every retry horizon expired first).
+// never finished (every fault horizon expired first).
 std::string GoodputCell(const tpu::recover::RecoveryTimeline& timeline) {
   char buf[64];
   if (timeline.completed) {

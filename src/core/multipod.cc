@@ -486,6 +486,90 @@ EndToEndResult MultipodSystem::SimulateTraining(
   return result;
 }
 
+recover::ControllerConfig MultipodSystem::RecoveryControllerConfig(
+    models::Benchmark benchmark, std::int64_t global_batch,
+    int model_parallel_cores, const FaultToleranceOptions& fault_options,
+    const FaultTolerantResult& result) {
+  const models::ModelSpec& spec = models::GetModelSpec(benchmark);
+  const SimTime healthy_step = result.failure_free.step.step();
+  const SimTime healthy_allreduce = result.failure_free.step.allreduce;
+  // The pricing oracles run throwaway estimates and simulations. The two
+  // that reach instrumented code (the planner search and the shrunk-shape
+  // step) silence the run context, so the recovered timeline stays
+  // bit-identical with or without a recorder.
+  const std::shared_ptr<const optim::Optimizer> optimizer =
+      OptimizerFor(benchmark);
+  const int chips_per_group = ChipsPerGroup(model_parallel_cores);
+  plan::PlanRequest request;
+  request.elems = std::max<std::int64_t>(1, spec.parameters / chips_per_group);
+  request.model_parallel_stride = chips_per_group;
+  request.allow_bfloat16 = options_.bfloat16_gradients;
+  request.allow_bidirectional = options_.bidirectional_rings;
+
+  recover::StepPricer pricer;
+  pricer.healthy_step = healthy_step;
+  // Closed-form comm estimate of the *current* schedule under the link
+  // snapshot: a failed link on a used route prices at the stall constant
+  // and trips any detection deadline. Each snapshot re-prices only the
+  // ring groups its links touch.
+  const auto comm = std::make_shared<const plan::PlanRepricer>(
+      topology_, options_.network,
+      plan::LowerPlan(topology_, plan::PaperPlan(request), request.elems));
+  pricer.degraded_step = [healthy_step, healthy_allreduce,
+                          comm](const plan::LinkHealthSet& health) {
+    return recover::DegradedStepSeconds(healthy_step, healthy_allreduce,
+                                        *comm, health);
+  };
+  // Planner search under the snapshot vs under full health: the searched
+  // schedules' predicted ratio scales the healthy all-reduce share.
+  pricer.replanned_step = [this, healthy_step, healthy_allreduce,
+                           request](const plan::LinkHealthSet& health) {
+    return recover::ReplannedStepSeconds(healthy_step, healthy_allreduce,
+                                         topology_, options_.network,
+                                         request, &plan_cache_, health);
+  };
+  // Same job carved down to a healthy sub-mesh: a throwaway system on the
+  // sliced shape re-prices the full step (memoized per shape — the carve
+  // search re-asks the same rectangles).
+  auto shrunk_memo =
+      std::make_shared<std::map<std::pair<int, int>, SimTime>>();
+  pricer.shrunk_step = [this, &spec, global_batch, model_parallel_cores,
+                        optimizer,
+                        shrunk_memo](const topo::SubmeshRect& rect) {
+    const std::pair<int, int> key{rect.size_x, rect.size_y};
+    const auto it = shrunk_memo->find(key);
+    if (it != shrunk_memo->end()) return it->second;
+    sim::ScopedSilence silence;
+    // The carve keeps Y wrap links only when it spans the full Y extent.
+    const bool wrap_y =
+        topology_.config().wrap_y && rect.size_y == topology_.size_y();
+    MultipodSystem shrunk(
+        topo::TopologyConfig::Slice(rect.size_x, rect.size_y, wrap_y),
+        options_);
+    const SimTime step =
+        shrunk
+            .SimulateStep(spec, global_batch, model_parallel_cores,
+                          optimizer.get())
+            .step();
+    (*shrunk_memo)[key] = step;
+    return step;
+  };
+
+  recover::ControllerConfig config;
+  config.policy = fault_options.recovery;
+  config.costs.checkpoint_write = result.checkpoint.write_seconds;
+  config.costs.restore_seconds = result.checkpoint.restore_seconds;
+  config.costs.restart_seconds = result.restart_seconds;
+  config.pricer = pricer;
+  config.total_work =
+      result.failure_free.train_seconds + result.failure_free.eval_seconds;
+  config.detection_deadline = result.detection_latency;
+  config.checkpoint_interval = result.checkpoint_interval;
+  config.faults = fault_options.faults;
+  config.x_granularity = chips_per_group;
+  return config;
+}
+
 FaultTolerantResult MultipodSystem::SimulateTrainingUnderFailures(
     models::Benchmark benchmark, std::int64_t global_batch,
     int model_parallel_cores, frameworks::Framework framework,
@@ -517,8 +601,6 @@ FaultTolerantResult MultipodSystem::SimulateTrainingUnderFailures(
   if (fault_options.recovery.enabled) {
     // Event-driven path: replace the analytic expected-makespan formula with
     // a simulated fault -> decision -> downtime -> throughput timeline.
-    const SimTime healthy_step = result.failure_free.step.step();
-
     // Checkpoint cadence: explicit, else the analytic optimum when a fatal
     // class is enabled, else none (scripted transient-only scenarios).
     SimTime tau = fault_options.checkpoint_interval;
@@ -528,135 +610,67 @@ FaultTolerantResult MultipodSystem::SimulateTrainingUnderFailures(
       goodput.checkpoint_write = result.checkpoint.write_seconds;
       goodput.detection_latency = result.detection_latency;
       goodput.restart_seconds = result.restart_seconds;
-      const SimTime lo = std::max(healthy_step, Millis(1));
+      const SimTime lo = std::max(result.failure_free.step.step(), Millis(1));
       const SimTime hi = std::max(base, 2 * lo);
       tau = fault::OptimalCheckpointInterval(base, goodput, lo, hi);
     }
     result.checkpoint_interval = std::max<SimTime>(tau, 0);
 
-    // The pricing oracles run throwaway estimates and simulations. The two
-    // that reach instrumented code (the planner search and the shrunk-shape
-    // step) silence the run context, so the recovered timeline stays
-    // bit-identical with or without a recorder.
-    const std::unique_ptr<optim::Optimizer> optimizer = OptimizerFor(benchmark);
-    const int chips_per_group = ChipsPerGroup(model_parallel_cores);
-    plan::PlanRequest request;
-    request.elems =
-        std::max<std::int64_t>(1, spec.parameters / chips_per_group);
-    request.model_parallel_stride = chips_per_group;
-    request.allow_bfloat16 = options_.bfloat16_gradients;
-    request.allow_bidirectional = options_.bidirectional_rings;
-    const SimTime healthy_allreduce = result.failure_free.step.allreduce;
-
-    recover::StepPricer pricer;
-    pricer.healthy_step = healthy_step;
-    // Closed-form comm estimate of the *current* schedule under the link
-    // snapshot: a failed link on a used route prices at the stall constant
-    // and trips any detection deadline. Each snapshot re-prices only the
-    // ring groups its links touch.
-    const auto comm = std::make_shared<const plan::PlanRepricer>(
-        topology_, options_.network,
-        plan::LowerPlan(topology_, plan::PaperPlan(request), request.elems));
-    pricer.degraded_step = [healthy_step, healthy_allreduce,
-                            comm](const plan::LinkHealthSet& health) {
-      return recover::DegradedStepSeconds(healthy_step, healthy_allreduce,
-                                          *comm, health);
-    };
-    // Planner search under the snapshot vs under full health: the searched
-    // schedules' predicted ratio scales the healthy all-reduce share.
-    pricer.replanned_step = [this, healthy_step, healthy_allreduce,
-                             request](const plan::LinkHealthSet& health) {
-      return recover::ReplannedStepSeconds(healthy_step, healthy_allreduce,
-                                           topology_, options_.network,
-                                           request, &plan_cache_, health);
-    };
-    // Same job carved down to a healthy sub-mesh: a throwaway system on the
-    // sliced shape re-prices the full step (memoized per shape — the carve
-    // search re-asks the same rectangles).
-    auto shrunk_memo =
-        std::make_shared<std::map<std::pair<int, int>, SimTime>>();
-    pricer.shrunk_step = [this, &spec, global_batch, model_parallel_cores,
-                          &optimizer, shrunk_memo](
-                             const topo::SubmeshRect& rect) {
-      const std::pair<int, int> key{rect.size_x, rect.size_y};
-      const auto it = shrunk_memo->find(key);
-      if (it != shrunk_memo->end()) return it->second;
-      sim::ScopedSilence silence;
-      // The carve keeps Y wrap links only when it spans the full Y extent.
-      const bool wrap_y =
-          topology_.config().wrap_y && rect.size_y == topology_.size_y();
-      MultipodSystem shrunk(
-          topo::TopologyConfig::Slice(rect.size_x, rect.size_y, wrap_y),
-          options_);
-      const SimTime step =
-          shrunk
-              .SimulateStep(spec, global_batch, model_parallel_cores,
-                            optimizer.get())
-              .step();
-      (*shrunk_memo)[key] = step;
-      return step;
-    };
-
-    recover::ControllerConfig controller_config;
-    controller_config.policy = fault_options.recovery;
-    controller_config.costs.checkpoint_write = result.checkpoint.write_seconds;
-    controller_config.costs.restore_seconds =
-        result.checkpoint.restore_seconds;
-    controller_config.costs.restart_seconds = result.restart_seconds;
-    controller_config.pricer = pricer;
-    controller_config.total_work = base;
-    controller_config.detection_deadline = result.detection_latency;
-    controller_config.checkpoint_interval = result.checkpoint_interval;
-    controller_config.faults = fault_options.faults;
-    controller_config.x_granularity = chips_per_group;
-
-    // Run until the work completes; a pathological schedule (back-to-back
-    // permanent faults) may outlive the first horizon, so double and retry
-    // on truncation. Each attempt replays the same seeded schedule prefix,
-    // so the final completed timeline is deterministic.
-    recover::RecoveryTimeline timeline;
+    // One simulation per job. A pathological schedule (back-to-back
+    // permanent faults) may outlive the first horizon, so up to five times
+    // the horizon doubles in place: the injector arms the seeded schedule's
+    // next slice and the same simulator runs on. Every round runs to its
+    // horizon, past the work's completion too, so the run injects exactly the
+    // faults a fresh run to that horizon would.
+    sim::Simulator simulator;
+    net::Network network(&topology_, options_.network, &simulator);
+    fault::FaultInjector injector(&network, fault_options.faults);
+    recover::RecoveryController controller(
+        &network, &injector,
+        RecoveryControllerConfig(benchmark, global_batch, model_parallel_cores,
+                                 fault_options, result));
+    const bool scripted = !fault_options.scripted_faults.empty();
     SimTime horizon = std::max<SimTime>(2 * base, Seconds(1));
+    if (scripted) {
+      injector.ArmScripted(fault_options.scripted_faults);
+    } else {
+      injector.Arm(horizon);
+    }
+    // Continuous telemetry over the run: run/net/sim probes on
+    // telemetry-class events (work timestamps stay bit-identical), ticking
+    // until the controller finishes. Only a completed run is committed.
     telemetry::TelemetrySession* telemetry_session =
         telemetry::CurrentTelemetry();
-    for (int round = 0; round < 6; ++round) {
-      sim::Simulator simulator;
-      net::Network network(&topology_, options_.network, &simulator);
-      fault::FaultInjector injector(&network, fault_options.faults);
-      recover::RecoveryController controller(&network, &injector,
-                                             controller_config);
-      if (!fault_options.scripted_faults.empty()) {
-        injector.ArmScripted(fault_options.scripted_faults);
-      } else {
-        injector.Arm(horizon);
-      }
-      // Continuous telemetry over the recovery round: run/net/sim probes on
-      // telemetry-class events (work timestamps stay bit-identical), ticking
-      // until the controller finishes. Each retry round begins a fresh run;
-      // only the completed round is committed, so truncated rounds never
-      // reach the export.
-      std::unique_ptr<telemetry::TimeSeriesSampler> sampler;
-      if (telemetry_session != nullptr) {
-        telemetry_session->BeginRun("recovery/" + spec.name, simulator.now());
-        sampler = std::make_unique<telemetry::TimeSeriesSampler>(
-            &simulator, telemetry_session);
-        recover::RegisterRecoveryProbes(*sampler, controller);
-        telemetry::RegisterNetworkProbes(*sampler, network);
-        telemetry::RegisterSimulatorProbes(*sampler, simulator);
-        for (const fault::FaultEvent& event : fault_options.scripted_faults) {
-          if (event.kind == fault::FaultKind::kLinkFlap) {
-            telemetry::RegisterLinkProbes(*sampler, network, event.link);
-          }
+    std::unique_ptr<telemetry::TimeSeriesSampler> sampler;
+    if (telemetry_session != nullptr) {
+      telemetry_session->BeginRun("recovery/" + spec.name, simulator.now());
+      sampler = std::make_unique<telemetry::TimeSeriesSampler>(
+          &simulator, telemetry_session);
+      recover::RegisterRecoveryProbes(*sampler, controller);
+      telemetry::RegisterNetworkProbes(*sampler, network);
+      telemetry::RegisterSimulatorProbes(*sampler, simulator);
+      for (const fault::FaultEvent& event : fault_options.scripted_faults) {
+        if (event.kind == fault::FaultKind::kLinkFlap) {
+          telemetry::RegisterLinkProbes(*sampler, network, event.link);
         }
-        const recover::RecoveryController* ctl = &controller;
-        sampler->set_stop_predicate([ctl] { return ctl->finished(); });
-        sampler->Start();
       }
-      timeline = controller.Run(horizon);
-      if (timeline.completed) {
-        if (telemetry_session != nullptr) telemetry_session->CommitRun();
-        break;
-      }
+      const recover::RecoveryController* ctl = &controller;
+      sampler->set_stop_predicate([ctl] { return ctl->finished(); });
+      sampler->Start();
+    }
+    controller.Begin();
+    for (int round = 0;; ++round) {
+      simulator.RunUntil(horizon,
+                         sim::Simulator::DeadlinePolicy::kStopAtLastEvent);
+      if (controller.finished() || round == 5) break;
       horizon *= 2;
+      if (!scripted) injector.Arm(horizon);
+    }
+    // Closes the books where the clock stopped if the last horizon expired
+    // with work outstanding.
+    recover::RecoveryTimeline timeline = controller.Stop();
+    if (timeline.completed && telemetry_session != nullptr) {
+      telemetry_session->CommitRun();
     }
 
     result.recovered = true;

@@ -26,6 +26,7 @@
 #include "network/network.h"
 #include "optim/optimizer.h"
 #include "plan/cache.h"
+#include "recover/controller.h"
 #include "recover/recovery.h"
 #include "topology/topology.h"
 #include "trace/run_report.h"
@@ -201,6 +202,18 @@ class MultipodSystem {
       models::Benchmark benchmark, std::int64_t global_batch,
       int model_parallel_cores, frameworks::Framework framework,
       const FaultToleranceOptions& fault_options);
+
+  // The controller configuration of the recovery job that
+  // SimulateTrainingUnderFailures runs when `fault_options.recovery` is
+  // enabled: its pricing oracles, costs, cadence and work, read from that
+  // call's `result` (the failure-free run, checkpoint costs, detection
+  // latency, restart cost and checkpoint interval). Its pricing oracles use
+  // this system, which must outlive them. Lets a test drive the same job
+  // through another event loop.
+  recover::ControllerConfig RecoveryControllerConfig(
+      models::Benchmark benchmark, std::int64_t global_batch,
+      int model_parallel_cores, const FaultToleranceOptions& fault_options,
+      const FaultTolerantResult& result);
 
  private:
   topo::MeshTopology topology_;

@@ -1,11 +1,6 @@
 #include "core/sweep.h"
 
-#include <algorithm>
-#include <thread>
-
 #include "common/check.h"
-#include "common/thread_pool.h"
-#include "sim/run_context.h"
 
 namespace tpu::core {
 namespace {
@@ -28,33 +23,11 @@ SweepPoint RunSweepPoint(const SweepConfig& config, int chips) {
 std::vector<SweepPoint> RunScalingSweep(const SweepConfig& config) {
   TPU_CHECK(!config.chip_counts.empty());
   TPU_CHECK(config.batch_for != nullptr);
-  const std::size_t n = config.chip_counts.size();
-  std::size_t threads =
-      config.threads == 0
-          ? std::max(1u, std::thread::hardware_concurrency())
-          : static_cast<std::size_t>(std::max(config.threads, 1));
-  threads = std::min(threads, n);
-  // The run context is thread-local, so worker threads would simulate
-  // unobserved; to keep an observed sweep's output independent of the
-  // thread count, run it serially whenever any sink is installed.
-  if (sim::CurrentRunContext().any()) threads = 1;
-
-  std::vector<SweepPoint> points(n);
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      points[i] = RunSweepPoint(config, config.chip_counts[i]);
-    }
-    return points;
+  std::vector<SweepPoint> points;
+  points.reserve(config.chip_counts.size());
+  for (const int chips : config.chip_counts) {
+    points.push_back(RunSweepPoint(config, chips));
   }
-  // Every point is an independent simulation on its own Simulator/Network
-  // with no shared mutable state; writing each result into its fixed slot
-  // makes the merged output identical to the serial run's.
-  ThreadPool pool(threads);
-  pool.ParallelFor(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      points[i] = RunSweepPoint(config, config.chip_counts[i]);
-    }
-  });
   return points;
 }
 

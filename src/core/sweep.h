@@ -29,17 +29,9 @@ struct SweepConfig {
   int model_parallel_cores = 1;
   frameworks::Framework framework = frameworks::Framework::kJax;
   SystemOptions options;
-  // Worker threads for the sweep. Each point is an independent deterministic
-  // simulation, so points run concurrently and are merged in chip_counts
-  // order: the result (and the CSV written from it) is byte-identical at any
-  // thread count. 0 picks the hardware concurrency; a traced or metered run
-  // (trace/metrics registry installed) falls back to serial so the observable
-  // side channels stay identical too.
-  int threads = 1;
 };
 
-// Runs the sweep; points come back in chip_counts order regardless of
-// `config.threads`.
+// Runs the sweep's points in chip_counts order, one after another.
 std::vector<SweepPoint> RunScalingSweep(const SweepConfig& config);
 
 // Writes the sweep as CSV with a fixed column schema:

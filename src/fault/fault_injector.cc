@@ -259,13 +259,21 @@ void FaultInjector::Apply(const FaultEvent& event) {
 }
 
 int FaultInjector::Arm(SimTime horizon) {
-  schedule_ = GenerateFaultSchedule(network_->topology(), config_, horizon);
+  TPU_CHECK_GE(horizon, armed_horizon_);
   sim::Simulator& simulator = network_->simulator();
-  for (const FaultEvent& event : schedule_) {
-    simulator.ScheduleAt(simulator.now() + event.at,
-                         [this, event] { Apply(event); });
+  if (armed_horizon_ == 0) armed_at_ = simulator.now();
+  schedule_ = GenerateFaultSchedule(network_->topology(), config_, horizon);
+  // FaultSchedule.ShorterHorizonIsABitIdenticalPrefix: the events before the
+  // armed horizon are exactly the ones already scheduled.
+  const auto fresh = std::partition_point(
+      schedule_.begin(), schedule_.end(),
+      [this](const FaultEvent& event) { return event.at < armed_horizon_; });
+  for (auto it = fresh; it != schedule_.end(); ++it) {
+    simulator.ScheduleAt(armed_at_ + it->at,
+                         [this, event = *it] { Apply(event); });
   }
-  return static_cast<int>(schedule_.size());
+  armed_horizon_ = horizon;
+  return static_cast<int>(schedule_.end() - fresh);
 }
 
 int FaultInjector::ArmScripted(const std::vector<FaultEvent>& schedule) {

@@ -95,8 +95,12 @@ class FaultInjector {
 
   FaultInjector(net::Network* network, const FaultModelConfig& config);
 
-  // Generates the schedule over [0, horizon) and schedules each event.
-  // Returns the number of events armed.
+  // Generates the schedule over [0, horizon) and schedules each event not
+  // yet armed, at now() + event.at with now() taken at the first Arm. A
+  // longer horizon extends a shorter one's schedule bit for bit, so calling
+  // Arm again with a later horizon schedules only the events at or after
+  // the horizon armed before: one injector grows its run's horizon in
+  // place. Returns the number of events this call armed.
   int Arm(SimTime horizon);
 
   // Arms a hand-written schedule (e.g. a canonical recovery scenario)
@@ -116,7 +120,8 @@ class FaultInjector {
 
   // Every event applied so far (armed events appear once they fire).
   const std::vector<FaultEvent>& injected() const { return injected_; }
-  // Schedule produced by the last Arm()/ArmScripted() call, in firing order.
+  // Every event armed so far (by Arm()'s horizons or ArmScripted()), in
+  // firing order.
   const std::vector<FaultEvent>& schedule() const { return schedule_; }
 
   // Ground truth for detector accounting: was any injected fault active
@@ -155,6 +160,8 @@ class FaultInjector {
   net::Network* network_;
   FaultModelConfig config_;
   std::vector<FaultEvent> schedule_;
+  SimTime armed_horizon_ = 0;  // Arm()'s horizon so far
+  SimTime armed_at_ = 0;       // now() at the first Arm()
   std::vector<FaultEvent> injected_;
   int active_[4] = {0, 0, 0, 0};  // indexed by FaultKind
   EventHook on_apply_;

@@ -45,21 +45,6 @@ void RecoveryController::Begin() {
   SetRate(config_.pricer.healthy_step, "healthy");
 }
 
-RecoveryTimeline RecoveryController::Run(SimTime horizon) {
-  Begin();
-  sim_->RunUntil(sim_->now() + horizon,
-                 sim::Simulator::DeadlinePolicy::kStopAtLastEvent);
-  if (!done_) {
-    // Horizon expired with work outstanding: close the books where the
-    // clock stopped and report the truncation.
-    AdvanceWork();
-    CloseInterval();
-    timeline_.makespan = sim_->now();
-    timeline_.completed = false;
-  }
-  return timeline_;
-}
-
 RecoveryTimeline RecoveryController::Stop() {
   if (!done_) {
     AdvanceWork();

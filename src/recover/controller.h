@@ -89,27 +89,26 @@ struct ControllerConfig {
 
 class RecoveryController {
  public:
-  // The controller registers itself as the injector's apply/heal observer;
-  // the caller arms the injector (Arm / ArmScripted) before Run, and both
-  // must outlive the run.
+  // The network and injector must outlive the controller's run; the caller
+  // arms the injector (Arm / ArmScripted) and may arm later horizons of the
+  // same injector while the run goes on.
   RecoveryController(net::Network* network, fault::FaultInjector* injector,
                      ControllerConfig config);
 
-  // Drives the simulator until the work completes or the clock passes
-  // `horizon`; the timeline's `completed` flag says which. Call once.
-  RecoveryTimeline Run(SimTime horizon);
-
-  // Externally driven mode (cluster): Begin() starts accruing work at the
-  // current simulated time without running the simulator — the caller owns
-  // the event loop and feeds this controller fault events. Call once.
+  // Starts accruing work at the current simulated time and, with
+  // auto_subscribe, registers the controller as the injector's apply/heal
+  // observer. The controller never runs the simulator: the caller owns the
+  // event loop (RunUntil for one job, the cluster's loop for many) until
+  // finished(), or calls Stop() to cut the run short. Call once.
   void Begin();
   // Dispatch one injector event to this controller (auto_subscribe=false).
   void HandleFault(const fault::FaultEvent& event) { OnFault(event); }
   void HandleHeal(const fault::FaultEvent& event) { OnHeal(event); }
-  // Stops an externally driven controller before its work completed —
-  // preemption, migration or horizon truncation. Closes the books at the
-  // current simulated time (completed stays false) and retires every
-  // pending callback; further events are ignored. Returns the timeline.
+  // Ends the run and returns the timeline. Before the work completed —
+  // preemption, migration, or a last fault horizon that expired — it closes
+  // the books at the current simulated time (completed stays false) and
+  // retires every pending callback; further events are ignored. After
+  // completion it returns the finished timeline unchanged.
   RecoveryTimeline Stop();
   const RecoveryTimeline& timeline() const { return timeline_; }
 

@@ -130,8 +130,8 @@ void TelemetrySession::ResetRunState() {
 }
 
 void TelemetrySession::BeginRun(const std::string& label, SimTime started_at) {
-  // An uncommitted run (e.g. a recovery retry round that hit its horizon)
-  // is discarded: only runs the caller commits make it into the export.
+  // An uncommitted run (e.g. a recovery job whose last horizon expired) is
+  // discarded: only runs the caller commits outlive the next BeginRun.
   current_ = RunData{};
   current_.label = label;
   current_.started_at = started_at;

@@ -175,7 +175,7 @@ struct WatchdogFiring {
   std::vector<int> suspect_links;
 };
 
-// Everything telemetry collected for one run (one recovery round, one
+// Everything telemetry collected for one run (one recovery job, one
 // benchmark scenario, ...). Sessions archive a RunData per CommitRun.
 struct RunData {
   std::string label;
@@ -193,13 +193,13 @@ struct RunData {
 
 // The telemetry sink: owns per-run series/events/watchdog/flight-recorder
 // state and the deterministic exporters. A session outlives the simulators
-// it observes — BeginRun/CommitRun bracket each simulated run (an uncommitted
-// run is discarded by the next BeginRun, which is how recovery retry rounds
-// keep only the completed round).
+// it observes — BeginRun/CommitRun bracket each simulated run. An
+// uncommitted run is discarded by the next BeginRun and exported as the
+// open run until then; a recovery job commits its run only when the work
+// completed.
 //
 // Threading: like TraceRecorder and MetricsRegistry, a session must only be
-// written from one thread at a time; the sweep runner falls back to serial
-// when a session is installed.
+// written from one thread at a time.
 class TelemetrySession {
  public:
   explicit TelemetrySession(TelemetryConfig config = {});

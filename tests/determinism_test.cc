@@ -1,6 +1,6 @@
 // Bit-reproducibility gates for the event core: the timestamp-run queue,
-// pooled callbacks, cached routes, the parallel sweep tier and the thread a
-// run executes on must not perturb simulated time by a single ULP. Every comparison here is exact
+// pooled callbacks, cached routes and the thread a run executes on must not
+// perturb simulated time by a single ULP. Every comparison here is exact
 // (EXPECT_EQ on doubles), not approximate.
 #include <gtest/gtest.h>
 
@@ -158,20 +158,18 @@ TEST(Determinism, SimulateStepWithRunReportIsBitIdentical) {
   EXPECT_EQ(report.ToJson(), again.ToJson());
 }
 
-TEST(Determinism, ParallelSweepCsvIsByteIdenticalToSerial) {
+TEST(Determinism, SweepCsvIsByteIdenticalAcrossRepeats) {
   core::SweepConfig config;
   config.benchmark = models::Benchmark::kResNet50;
   config.chip_counts = {16, 32, 64, 128};
   config.batch_for = [](int chips) { return 256LL * chips; };
-  config.threads = 1;
-  const auto serial = core::RunScalingSweep(config);
-  config.threads = 4;
-  const auto threaded = core::RunScalingSweep(config);
-  ASSERT_EQ(serial.size(), threaded.size());
+  const auto first = core::RunScalingSweep(config);
+  const auto repeat = core::RunScalingSweep(config);
+  ASSERT_EQ(first.size(), repeat.size());
   std::ostringstream a;
   std::ostringstream b;
-  core::WriteSweepCsv(a, serial);
-  core::WriteSweepCsv(b, threaded);
+  core::WriteSweepCsv(a, first);
+  core::WriteSweepCsv(b, repeat);
   EXPECT_EQ(a.str(), b.str());
 }
 
@@ -226,19 +224,16 @@ TEST(Determinism, TelemetryJsonIsByteIdenticalAcrossRepeatsAndThreads) {
   EXPECT_EQ(first, fresh);
 }
 
-TEST(Determinism, SweepUnderTelemetryFallsBackToSerialByteIdentically) {
-  // With a session installed the sweep runner must drop to one thread (the
-  // session is thread-local) and still produce the exact serial CSV.
+TEST(Determinism, SweepUnderTelemetryMatchesThePlainSweepByteForByte) {
+  // An installed session observes the sweep without changing its CSV.
   core::SweepConfig config;
   config.benchmark = models::Benchmark::kResNet50;
   config.chip_counts = {16, 32, 64};
   config.batch_for = [](int chips) { return 256LL * chips; };
-  config.threads = 1;
   const auto serial = core::RunScalingSweep(config);
 
   telemetry::TelemetrySession session;
   telemetry::ScopedTelemetry install(&session);
-  config.threads = 4;
   const auto observed = core::RunScalingSweep(config);
   ASSERT_EQ(serial.size(), observed.size());
   std::ostringstream a;

@@ -3,17 +3,29 @@
 // degraded 16x8 scenario suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/multipod.h"
 #include "fault/fault_injector.h"
 #include "models/model_specs.h"
+#include "network/network.h"
 #include "plan/plan_ir.h"
+#include "recover/controller.h"
 #include "recover/recovery.h"
+#include "sim/simulator.h"
+#include "telemetry/probes.h"
+#include "telemetry/sampler.h"
+#include "telemetry/telemetry.h"
 #include "topology/topology.h"
 #include "trace/metrics.h"
+#include "trace/trace.h"
 
 namespace tpu {
 namespace {
@@ -315,6 +327,45 @@ class RecoverySuite : public ::testing::Test {
   }
 
   static SimTime FaultAt() { return Seconds(50); }
+
+  // A slowed host that stays slow for 600 s, far past the wait deadline.
+  static core::FaultToleranceOptions LongFlapOptions() {
+    core::FaultToleranceOptions options = BaseOptions();
+    fault::FaultEvent slow_host;
+    slow_host.kind = fault::FaultKind::kSlowHost;
+    slow_host.host =
+        System().topology().HostOf(System().topology().ChipAt({3, 3}));
+    slow_host.at = FaultAt();
+    slow_host.duration = Seconds(600);
+    slow_host.degrade_factor = 4096.0;
+    options.faults.slow_host_mean_duration = Seconds(30);
+    options.scripted_faults = {slow_host};
+    return options;
+  }
+
+  // Chip deaths every quarter of the fault-free makespan, past the last
+  // horizon (64x the makespan), with only a restart allowed and no
+  // checkpoint before the end: no horizon is long enough.
+  static core::FaultToleranceOptions TruncatingOptions() {
+    core::FaultToleranceOptions options = BaseOptions();
+    const SimTime base = Run(options).timeline.base_seconds;
+    EXPECT_GT(base, 0.0);
+    options.checkpoint_interval = 10 * base;
+    options.recovery.allow_wait_for_heal = false;
+    options.recovery.allow_route_around = false;
+    options.recovery.allow_elastic_shrink = false;
+    options.recovery.allow_spare_swap_in = false;
+    const topo::MeshTopology& topo = System().topology();
+    for (SimTime at = FaultAt(); at < 70 * base; at += base / 4) {
+      fault::FaultEvent dead_chip;
+      dead_chip.kind = fault::FaultKind::kChipFailure;
+      dead_chip.chip = static_cast<topo::ChipId>(
+          options.scripted_faults.size() % topo.num_chips());
+      dead_chip.at = at;
+      options.scripted_faults.push_back(dead_chip);
+    }
+    return options;
+  }
 };
 
 // A transiently slowed host degrades every link of its four chips, which no
@@ -407,17 +458,7 @@ TEST_F(RecoverySuite, ChipDeathSwapsInTheSpare) {
 // and promotes to the checkpoint-restart fallback (nothing else is feasible
 // for a slowed host).
 TEST_F(RecoverySuite, LongFlapExhaustsBackoffAndRestarts) {
-  core::FaultToleranceOptions options = BaseOptions();
-  fault::FaultEvent slow_host;
-  slow_host.kind = fault::FaultKind::kSlowHost;
-  slow_host.host = System().topology().HostOf(System().topology().ChipAt({3, 3}));
-  slow_host.at = FaultAt();
-  slow_host.duration = Seconds(600);
-  slow_host.degrade_factor = 4096.0;
-  options.faults.slow_host_mean_duration = Seconds(30);
-  options.scripted_faults = {slow_host};
-
-  const auto result = Run(options);
+  const auto result = Run(LongFlapOptions());
   ASSERT_TRUE(result.recovered);
   ASSERT_TRUE(result.timeline.completed);
   ASSERT_GE(result.timeline.decisions.size(), 2u);
@@ -450,30 +491,11 @@ TEST_F(RecoverySuite, SubDeadlineBlipIsAMicroStall) {
 }
 
 // Chip deaths arrive faster than a checkpoint-free run can finish, and only
-// a restart (which loses all work) is allowed: every retry horizon expires
+// a restart (which loses all work) is allowed: every horizon expires
 // first. The run reports it did not complete, with goodput 0 — not the
 // failure-free makespan over the truncated one.
 TEST_F(RecoverySuite, TruncatedRunReportsZeroGoodput) {
-  core::FaultToleranceOptions options = BaseOptions();
-  const SimTime base = Run(options).timeline.base_seconds;
-  ASSERT_GT(base, 0.0);
-  options.checkpoint_interval = 10 * base;  // no checkpoint before the end
-  options.recovery.allow_wait_for_heal = false;
-  options.recovery.allow_route_around = false;
-  options.recovery.allow_elastic_shrink = false;
-  options.recovery.allow_spare_swap_in = false;
-  const topo::MeshTopology& topo = System().topology();
-  // Past the last retry round's horizon (64x the fault-free makespan).
-  for (SimTime at = FaultAt(); at < 70 * base; at += base / 4) {
-    fault::FaultEvent dead_chip;
-    dead_chip.kind = fault::FaultKind::kChipFailure;
-    dead_chip.chip = static_cast<topo::ChipId>(
-        options.scripted_faults.size() % topo.num_chips());
-    dead_chip.at = at;
-    options.scripted_faults.push_back(dead_chip);
-  }
-
-  const auto result = Run(options);
+  const auto result = Run(TruncatingOptions());
   EXPECT_TRUE(result.recovered);  // the recovery ran
   EXPECT_FALSE(result.timeline.completed);
   EXPECT_GT(result.timeline.restarts, 0);
@@ -537,6 +559,292 @@ TEST_F(RecoverySuite, TimelineBitIdenticalAcrossRepeatsAndThreads) {
   std::string fresh;
   std::thread([&] { fresh = Run(options).timeline.ToJson(); }).join();
   EXPECT_EQ(once, fresh);
+}
+
+// --- One run per job -------------------------------------------------------
+
+// The reference: the loop SimulateTrainingUnderFailures ran before a job
+// became one simulation. Every round builds a fresh simulator, network,
+// injector, controller and telemetry sampler and replays the schedule from
+// t = 0, to a horizon twice the last one, for at most six rounds.
+struct Replay {
+  recover::RecoveryTimeline timeline;
+  int rounds = 0;
+};
+
+Replay ReplayRounds(const core::MultipodSystem& system,
+                    const core::FaultToleranceOptions& options,
+                    const recover::ControllerConfig& config,
+                    const std::string& label) {
+  Replay replay;
+  SimTime horizon = std::max<SimTime>(2 * config.total_work, Seconds(1));
+  telemetry::TelemetrySession* session = telemetry::CurrentTelemetry();
+  trace::MetricsRegistry* metrics = trace::CurrentMetrics();
+  for (int round = 0; round < 6; ++round) {
+    ++replay.rounds;
+    // Only the last round's metrics describe the reported timeline.
+    if (metrics != nullptr) metrics->Reset();
+    sim::Simulator simulator;
+    net::Network network(&system.topology(), system.options().network,
+                         &simulator);
+    fault::FaultInjector injector(&network, options.faults);
+    recover::RecoveryController controller(&network, &injector, config);
+    if (!options.scripted_faults.empty()) {
+      injector.ArmScripted(options.scripted_faults);
+    } else {
+      injector.Arm(horizon);
+    }
+    std::unique_ptr<telemetry::TimeSeriesSampler> sampler;
+    if (session != nullptr) {
+      session->BeginRun(label, simulator.now());
+      sampler =
+          std::make_unique<telemetry::TimeSeriesSampler>(&simulator, session);
+      recover::RegisterRecoveryProbes(*sampler, controller);
+      telemetry::RegisterNetworkProbes(*sampler, network);
+      telemetry::RegisterSimulatorProbes(*sampler, simulator);
+      for (const fault::FaultEvent& event : options.scripted_faults) {
+        if (event.kind == fault::FaultKind::kLinkFlap) {
+          telemetry::RegisterLinkProbes(*sampler, network, event.link);
+        }
+      }
+      const recover::RecoveryController* ctl = &controller;
+      sampler->set_stop_predicate([ctl] { return ctl->finished(); });
+      sampler->Start();
+    }
+    controller.Begin();
+    simulator.RunUntil(horizon,
+                       sim::Simulator::DeadlinePolicy::kStopAtLastEvent);
+    replay.timeline = controller.Stop();
+    if (replay.timeline.completed) {
+      if (session != nullptr) session->CommitRun();
+      break;
+    }
+    horizon *= 2;
+  }
+  if (metrics != nullptr) replay.timeline.ExportMetrics(*metrics);
+  return replay;
+}
+
+// The registry's fault.* and recovery.* lines: what the recovery run
+// records, without the failure-free step simulated before it.
+std::string RecoveryMetrics(const trace::MetricsRegistry& registry) {
+  std::ostringstream text;
+  registry.WriteText(text);
+  std::istringstream lines(text.str());
+  std::string line;
+  std::string kept;
+  while (std::getline(lines, line)) {
+    if (line.rfind("fault.", 0) == 0 || line.rfind("recovery.", 0) == 0) {
+      kept += line + "\n";
+    }
+  }
+  return kept;
+}
+
+// The two probes that count the simulator's pending and scheduled events.
+bool CountsQueuedEvents(const std::string& probe) {
+  return probe == "sim.queue_depth" || probe == "sim.events_scheduled";
+}
+
+// Every run a session exports (committed, then the open one), as text, with
+// the CountsQueuedEvents series and flight-recorder columns left out.
+std::string TelemetryWithoutQueueCounts(
+    const telemetry::TelemetrySession& session) {
+  std::ostringstream os;
+  os.precision(17);
+  std::vector<const telemetry::RunData*> runs;
+  for (const telemetry::RunData& run : session.runs()) runs.push_back(&run);
+  if (session.in_run()) runs.push_back(&session.current_run());
+  const auto print_events =
+      [&os](const std::vector<telemetry::StructuredEvent>& events) {
+        for (const telemetry::StructuredEvent& e : events) {
+          os << " event " << e.t << " " << e.name << " " << e.detail << "\n";
+        }
+      };
+  for (const telemetry::RunData* run : runs) {
+    os << "run " << run->label << " " << run->started_at << " "
+       << run->last_sample_at << " " << run->ticks << " "
+       << run->dropped_events << " " << run->dropped_dumps << "\n";
+    for (const telemetry::TimeSeries& series : run->series) {
+      if (CountsQueuedEvents(series.name())) continue;
+      os << " series " << series.name() << " " << series.stride() << " "
+         << series.samples() << "\n";
+      for (const telemetry::TimeSeries::Point& p : series.Points()) {
+        os << "  " << p.t << " " << p.mean << " " << p.min << " " << p.max
+           << " " << p.count << "\n";
+      }
+    }
+    print_events(run->events);
+    for (const telemetry::WatchdogFiring& f : run->firings) {
+      os << " firing " << f.watchdog << " " << f.series << " "
+         << f.first_breach << " " << f.last_breach << " " << f.breaches << " "
+         << f.baseline << " " << f.worst << " " << f.open;
+      for (const int link : f.suspect_links) os << " " << link;
+      os << "\n";
+    }
+    for (const telemetry::FlightDump& dump : run->dumps) {
+      os << " dump " << dump.trigger << " " << dump.triggered_at << "\n";
+      for (std::size_t row = 0; row < dump.times.size(); ++row) {
+        os << "  " << dump.times[row];
+        for (std::size_t c = 0; c < dump.columns.size(); ++c) {
+          if (CountsQueuedEvents(dump.columns[c])) continue;
+          os << " " << dump.columns[c] << "=" << dump.rows[row][c];
+        }
+        os << "\n";
+      }
+      print_events(dump.events);
+    }
+    for (const int link : run->suspect_links) os << " suspect " << link;
+    os << "\n";
+  }
+  return os.str();
+}
+
+// Runs the DLRM job both ways, each under its own telemetry session and
+// metrics registry, and checks the one-run timeline, expected seconds,
+// goodput, recovery metrics and telemetry export against the replay's, byte
+// for byte; the replay's metrics are its last round's. Returns the replay's
+// rounds.
+//
+// The replay armed every fault of its last horizon at t = 0, so once a
+// generated schedule needs a second round, its simulator held fault events
+// of horizons the one-run loop has not armed yet. Only the two
+// CountsQueuedEvents probes see that; everything else must still match.
+// A scripted schedule is armed whole at t = 0 by both loops.
+int ExpectOneRunMatchesReplay(core::MultipodSystem& system,
+                              const core::FaultToleranceOptions& options) {
+  const models::Benchmark benchmark = models::Benchmark::kDlrm;
+  telemetry::TelemetrySession one_run_session;
+  trace::MetricsRegistry one_run_metrics;
+  core::FaultTolerantResult one_run;
+  {
+    telemetry::ScopedTelemetry install(&one_run_session);
+    trace::ScopedMetrics meter(&one_run_metrics);
+    one_run = system.SimulateTrainingUnderFailures(
+        benchmark, 65536, 1, frameworks::Framework::kTensorFlow, options);
+  }
+  const recover::ControllerConfig config =
+      system.RecoveryControllerConfig(benchmark, 65536, 1, options, one_run);
+  telemetry::TelemetrySession replay_session;
+  trace::MetricsRegistry replay_metrics;
+  Replay replay;
+  {
+    telemetry::ScopedTelemetry install(&replay_session);
+    trace::ScopedMetrics meter(&replay_metrics);
+    replay = ReplayRounds(system, options, config,
+                          "recovery/" + models::GetModelSpec(benchmark).name);
+  }
+  EXPECT_TRUE(one_run.recovered);
+  EXPECT_EQ(one_run.timeline.ToJson(), replay.timeline.ToJson());
+  EXPECT_EQ(one_run.expected_seconds, replay.timeline.makespan);
+  EXPECT_EQ(one_run.goodput, replay.timeline.completed
+                                 ? config.total_work / replay.timeline.makespan
+                                 : 0.0);
+  EXPECT_NE(RecoveryMetrics(one_run_metrics), "");
+  EXPECT_EQ(RecoveryMetrics(one_run_metrics), RecoveryMetrics(replay_metrics));
+  if (replay.rounds == 1 || !options.scripted_faults.empty()) {
+    EXPECT_EQ(one_run_session.ToJson(), replay_session.ToJson());
+  } else {
+    EXPECT_EQ(TelemetryWithoutQueueCounts(one_run_session),
+              TelemetryWithoutQueueCounts(replay_session));
+  }
+  return replay.rounds;
+}
+
+// The long flap finishes in the second round; the truncating script runs
+// all six.
+TEST_F(RecoverySuite, OneRunMatchesTheReplayOnTheSuiteCases) {
+  EXPECT_EQ(ExpectOneRunMatchesReplay(System(), LongFlapOptions()), 2);
+  EXPECT_EQ(ExpectOneRunMatchesReplay(System(), TruncatingOptions()), 6);
+}
+
+// Link flaps and 4096x slowed hosts from a seeded MTBF schedule at 256
+// chips. The slow-host MTBF sets how often the job stalls: these seeds
+// complete in the first round, in later rounds, or never.
+core::FaultToleranceOptions SeededAnchor(SimTime slow_host_mtbf,
+                                         std::uint64_t seed) {
+  core::FaultToleranceOptions options;
+  options.recovery.enabled = true;
+  options.checkpoint_interval = Seconds(600);
+  options.faults.seed = seed;
+  options.faults.link_flap_mtbf = Seconds(2e4);
+  options.faults.slow_host_mtbf = slow_host_mtbf;
+  options.faults.slow_host_degrade_factor = 4096.0;
+  options.faults.slow_host_mean_duration = Seconds(30);
+  return options;
+}
+
+TEST(OneRunPerJob, MatchesTheReplayOnSeededAnchors) {
+  core::MultipodSystem system(256);
+  std::vector<int> rounds;
+  for (const SimTime mtbf : {Seconds(4e3), Seconds(1e3), Seconds(300)}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("slow-host MTBF " + std::to_string(mtbf) + " s, seed " +
+                   std::to_string(seed));
+      rounds.push_back(
+          ExpectOneRunMatchesReplay(system, SeededAnchor(mtbf, seed)));
+    }
+  }
+  // The anchors cover a first-round finish, a finish in a later round and
+  // a run that no horizon lets finish.
+  EXPECT_EQ(std::count(rounds.begin(), rounds.end(), 1) > 0, true);
+  EXPECT_EQ(std::count_if(rounds.begin(), rounds.end(),
+                          [](int r) { return r > 1 && r < 6; }) > 0,
+            true);
+  EXPECT_EQ(std::count(rounds.begin(), rounds.end(), 6) > 0, true);
+}
+
+// A metered, traced run that no horizon lets finish injects each fault of
+// its schedule once: the fault.injected.* counters sum to the faults the
+// timeline applied, and the faults track shows each of them once.
+TEST(OneRunPerJob, MeteredTracedRunCountsEachFaultOnce) {
+  core::MultipodSystem system(256);
+  trace::MetricsRegistry registry;
+  trace::TraceRecorder recorder;
+  core::FaultTolerantResult result;
+  {
+    trace::ScopedMetrics meter(&registry);
+    trace::ScopedTrace trace(&recorder);
+    result = system.SimulateTrainingUnderFailures(
+        models::Benchmark::kDlrm, 65536, 1,
+        frameworks::Framework::kTensorFlow, SeededAnchor(Seconds(300), 1));
+  }
+  ASSERT_TRUE(result.recovered);
+  EXPECT_FALSE(result.timeline.completed);
+  std::int64_t injected = 0;
+  for (const fault::FaultKind kind :
+       {fault::FaultKind::kChipFailure, fault::FaultKind::kLinkFlap,
+        fault::FaultKind::kHostPreemption, fault::FaultKind::kSlowHost}) {
+    injected += registry
+                    .Counter(std::string("fault.injected.") +
+                             fault::FaultKindName(kind))
+                    .value;
+  }
+  EXPECT_GT(injected, 0);
+  EXPECT_EQ(injected, result.timeline.faults_applied);
+
+  // Each fault lands on the faults track once. The export sorts events by
+  // timestamp and puts one per line; the track is named in a thread_name
+  // record.
+  std::istringstream lines(recorder.ToJson());
+  std::string line;
+  std::string track;
+  std::set<std::string> instants;
+  int count = 0;
+  while (std::getline(lines, line)) {
+    if (line.find("\"thread_name\"") != std::string::npos &&
+        line.find("{\"name\":\"faults\"}") != std::string::npos) {
+      const std::size_t pid = line.find("\"pid\"");
+      track = line.substr(pid, line.find(",\"args\"") - pid);
+    } else if (!track.empty() &&
+               line.find("\"ph\":\"i\"") != std::string::npos &&
+               line.find(track) != std::string::npos) {
+      instants.insert(line);
+      ++count;
+    }
+  }
+  EXPECT_EQ(count, result.timeline.faults_applied);
+  EXPECT_EQ(instants.size(), static_cast<std::size_t>(count));
 }
 
 TEST_F(RecoverySuite, ExportsRecoveryMetrics) {

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "core/sweep.h"
-#include "sim/event_observer.h"
 
 namespace tpu::core {
 namespace {
@@ -56,35 +55,6 @@ TEST(Sweep, SpeedupsStartAtOneAndGrow) {
   EXPECT_GT(speedups[1].throughput, 1.0);
   // Throughput tracks ideal more closely than end-to-end (Figure 5 shape).
   EXPECT_GE(speedups[1].throughput, speedups[1].end_to_end);
-}
-
-// Counts every event the simulator reports scheduling and firing.
-class CountingObserver : public sim::EventObserver {
- public:
-  void OnSchedule(std::uint64_t, std::int64_t, SimTime, SimTime) override {
-    ++schedules;
-  }
-  void OnFire(std::uint64_t, SimTime) override { ++fires; }
-
-  std::int64_t schedules = 0;
-  std::int64_t fires = 0;
-};
-
-// The run context is thread-local, so an observed sweep must run serially:
-// a threaded one would simulate its points unobserved on the workers.
-TEST(Sweep, ThreadedSweepFeedsAnInstalledObserverEveryEvent) {
-  const auto observe = [](int threads) {
-    CountingObserver observer;
-    sim::ScopedEventObserver install(&observer);
-    SweepConfig config = SmallSweep();
-    config.threads = threads;
-    RunScalingSweep(config);
-    return std::pair{observer.schedules, observer.fires};
-  };
-  const auto serial = observe(1);
-  EXPECT_GT(serial.first, 0);
-  EXPECT_EQ(serial.first, serial.second);
-  EXPECT_EQ(observe(4), serial);
 }
 
 TEST(Sweep, EmptySweepDies) {
